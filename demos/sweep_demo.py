@@ -41,14 +41,14 @@ def main() -> None:
     show(table)
 
     print("\npreset sweep: repetition efficiency series (first 4 rows)")
-    table = run_preset("fig13", build_config({}), Engine.ANALYTIC, None, None)
+    table = run_preset("fig13", build_config({}), Engine.ANALYTIC)
     show(table, limit=4)
 
     print("\ndeterminism: the same preset twice, byte-identical CSV")
     with tempfile.TemporaryDirectory() as tmp:
         paths = [f"{tmp}/run{i}.csv" for i in (1, 2)]
         for path in paths:
-            run_preset("fig13", build_config({}), Engine.ANALYTIC, path, None)
+            run_preset("fig13", build_config({}), Engine.ANALYTIC, path)
         blobs = [open(p, "rb").read() for p in paths]
         print(f"  {len(blobs[0])} bytes, identical: {blobs[0] == blobs[1]}")
 

@@ -57,7 +57,6 @@ from .simulation import (
     SimulationSummary,
     TrialOutcome,
     associate_nearest,
-    estimate_success_prob,
     interference_horizon,
     sample_ppp,
     simulate_summary,
@@ -115,7 +114,6 @@ __all__ = [
     "distance_pdf",
     "emit_csv",
     "energy_availability",
-    "estimate_success_prob",
     "generator_matrix",
     "hitting_times_solve",
     "improper_integral",

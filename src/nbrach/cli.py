@@ -18,7 +18,7 @@ import sys
 from .config import build_config, describe, load_config
 from .energy import availability_bounds
 from .errors import ConfigError, NumericError
-from .sweep import Engine, PRESETS, run_custom, run_preset
+from .sweep import Engine, PRESETS, emit_csv, run_custom, run_preset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,25 +72,24 @@ def _load_with_seed(path: str | None, seed: int | None):
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_with_seed(args.config, args.seed)
     engine = Engine(args.engine)
-    if args.preset == "custom":
-        table = run_custom(cfg, engine, output_path=args.out)
-    else:
-        table = run_preset(args.preset, cfg, engine, output_path=args.out)
+    try:
+        if args.preset == "custom":
+            table = run_custom(cfg, engine, output_path=args.out)
+        else:
+            table = run_preset(args.preset, cfg, engine, output_path=args.out)
+    except Exception as exc:
+        # a failed sweep still reports its completed rows and error marker
+        if args.out is None and hasattr(exc, "partial_table"):
+            emit_csv(exc.partial_table)
+        raise
     if args.out is None:
-        import csv as _csv
-        from .sweep import _format_cell
-        writer = _csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(table.columns)
-        for row in table.rows:
-            writer.writerow([_format_cell(c) for c in row])
+        emit_csv(table)
     return EXIT_OK
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    sys.stdout.write(describe(cfg))
-    if not describe(cfg).endswith("\n"):
-        sys.stdout.write("\n")
+    text = describe(load_config(args.config))
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return EXIT_OK
 
 

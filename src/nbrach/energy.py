@@ -39,15 +39,6 @@ class BoundMode(enum.Enum):
 
 
 @dataclass(frozen=True)
-class StrategySpec:
-    """Threshold toggle policy: OFF when the level falls to off_level,
-    ON again once it climbs back to on_level."""
-
-    off_level: int
-    on_level: int
-
-
-@dataclass(frozen=True)
 class EnergyConfig:
     """Parameters of the battery chain.
 
@@ -111,19 +102,6 @@ class ChainEstimate:
     transitions: int
     cycles: int
     seed: int
-
-
-def normalize_strategy(spec: StrategySpec, capacity: int) -> tuple[StrategySpec, int]:
-    """Shift a toggle policy so the OFF threshold sits at level zero.
-
-    A policy {off, on} on a battery of `capacity` quanta behaves identically
-    to {0, on - off} on capacity - off quanta: levels below the OFF threshold
-    are never visited, so the chain is a pure translation.  Idempotent.
-    """
-    if not (0 <= spec.off_level < spec.on_level <= capacity):
-        raise ConfigError("strategy must satisfy 0 <= off_level < on_level <= capacity")
-    shifted = StrategySpec(0, spec.on_level - spec.off_level)
-    return shifted, capacity - spec.off_level
 
 
 def depletion_rate(cfg: EnergyConfig) -> float:

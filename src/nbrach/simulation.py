@@ -27,11 +27,6 @@ import numpy as np
 from .errors import ConfigError
 from .rach import ChannelConfig, InterferenceMode, active_density, pgfl_kernel, select_epsilon
 
-# reference window areas: a tractable desk-scale study region and the
-# full-scale deployment it stands in for
-DESK_AREA_KM2 = 400.0
-FULL_SCALE_AREA_KM2 = 2e4
-
 # exp(-50) miss probability for nearest-station searches inside finite windows
 _WINDOW_LOG_MISS = 50.0
 # cell-membership checks are exact within this many mean cell radii of the
@@ -423,10 +418,3 @@ def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = Inte
         redraws=redraws,
     )
 
-
-def estimate_success_prob(cfg: ChannelConfig, n_t: int,
-                          mode: InterferenceMode = InterferenceMode.FULL,
-                          settings: SimSettings | None = None) -> RachEstimate:
-    """Random-access success estimate (transmission through, no same-cell
-    same-preamble contender also through)."""
-    return simulate_summary(cfg, n_t, mode, settings).rach

@@ -1,25 +1,26 @@
 """Parameter sweeps over the analytic formulas and the simulator.
 
-A sweep walks one axis (repetition value, harvest rate, availability,
-power, threshold, density ratio) and evaluates one or more series per
-point, producing a CSV-ready table.  Named presets reproduce the
-reference figure axes; a custom sweep walks any configuration key.
+A sweep walks one axis and evaluates a list of series at each point; a
+series names a target, its repetition count and configuration overrides.
+One evaluator per target and engine serves every series, and one serial
+loop (`_run`) fills the rows in axis order.  `PRESETS` is the table of
+reference-figure sweeps; a custom sweep (`SweepSpec`) walks any
+configuration key, rebuilding the full configuration at each point.
 
-Simulation series reuse one seed across rows (common random numbers),
-so tables are reproducible byte for byte from (config, seed).  Per-row
-runtimes are collected on the table but deliberately never emitted to
-CSV, keeping emitted files deterministic.
+Simulation series reuse one seed across rows (common random numbers), so
+tables are reproducible byte for byte from (config, seed).  Per-row
+runtimes are kept on the table but never emitted to CSV.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-import os
+import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .config import AppConfig, _FIELD_SPECS, build_config
 from .energy import simulate_energy_chain, availability_bounds
@@ -27,10 +28,9 @@ from .errors import ConfigError
 from .rach import preamble_success_prob, rach_success_prob, repetition_efficiency
 from .simulation import simulate_summary
 
-WORKERS_ENV_VAR = "NBRACH_WORKERS"
-
-# event count for availability chain estimates inside sweeps
-DES_TRANSITIONS = 1_000_000
+DES_TRANSITIONS = 1_000_000  # events per availability chain estimate
+PRESET_REPLICATIONS = 1000  # light default for preset simulation series
+AXIS = "axis"  # a series' repetition count taken from the swept value
 
 
 class SweepTarget(enum.Enum):
@@ -77,464 +77,224 @@ class SweepTable:
     runtimes: tuple[float, ...] = ()
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ConfigError("every row must match the header width")
-
-
-@dataclass(frozen=True)
-class _Series:
-    """One evaluated series: subcolumn names plus the per-point function."""
-
-    names: tuple[str, ...]
-    evaluate: Callable[[float], tuple[float, ...]]
-
-
-@dataclass(frozen=True)
-class _Plan:
-    axis: str
-    values: tuple[float, ...]
-    series: tuple[_Series, ...]
-    output_path: str | None = None
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        names: list[str] = [self.axis]
-        for s in self.series:
-            names.extend(s.names)
-        return tuple(names)
-
-
-def resolve_workers(explicit: int | None = None) -> int:
-    """Worker-pool width: explicit argument, else the environment
-    override, else one per CPU."""
-    if explicit is not None:
-        if explicit < 1:
-            raise ConfigError("workers must be at least 1")
-        return explicit
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise ConfigError(f"{WORKERS_ENV_VAR} must be at least 1")
-        return value
-    return max(1, os.cpu_count() or 1)
-
-
-def _run_plan(plan: _Plan, workers: int) -> SweepTable:
-    """Evaluate every row, dispatching to a bounded pool; rows are
-    assembled in axis order regardless of completion order.  On a row
-    failure the completed prefix plus an error-marker row is flushed to
-    the plan's output path before the error propagates."""
-
-    def row_for(value: float) -> tuple[tuple[object, ...], float]:
-        t0 = time.perf_counter()
-        cells: list[object] = [value]
-        for s in plan.series:
-            cells.extend(s.evaluate(value))
-        return tuple(cells), time.perf_counter() - t0
-
-    results: list[tuple[tuple[object, ...], float] | BaseException] = []
-    if workers == 1:
-        for v in plan.values:
-            try:
-                results.append(row_for(v))
-            except Exception as exc:
-                results.append(exc)
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(row_for, v) for v in plan.values]
-            for fut in futures:
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    results.append(exc)
-                    break
-
-    rows: list[tuple[object, ...]] = []
-    runtimes: list[float] = []
-    for value, res in zip(plan.values, results):
-        if isinstance(res, BaseException):
-            marker = (value,) + ("error",) * (len(plan.columns) - 1)
-            table = SweepTable(columns=plan.columns, rows=tuple(rows) + (marker,),
-                               runtimes=tuple(runtimes))
-            if plan.output_path:
-                emit_csv(table, plan.output_path)
-            raise res
-        row, secs = res
-        rows.append(row)
-        runtimes.append(secs)
-    table = SweepTable(columns=plan.columns, rows=tuple(rows), runtimes=tuple(runtimes))
-    if plan.output_path:
-        emit_csv(table, plan.output_path)
-    return table
+        if any(len(row) != len(self.columns) for row in self.rows):
+            raise ConfigError("every row must match the header width")
 
 
 def _format_cell(cell: object) -> str:
-    if isinstance(cell, str):
-        return cell
-    if isinstance(cell, bool):
-        return str(cell)
-    if isinstance(cell, int):
+    if isinstance(cell, (str, int)):
         return str(cell)
     return format(float(cell), ".12g")
 
 
-def emit_csv(table: SweepTable, path: str) -> None:
-    """UTF-8 CSV, 12 significant digits, '\\n' line endings; identical
-    tables re-emit byte-identically."""
+def emit_csv(table: SweepTable, path: str | None = None) -> None:
+    """UTF-8 CSV to `path`, or to stdout when path is None; 12 significant
+    digits, '\\n' line endings; identical tables re-emit byte-identically."""
+    with (nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="")) as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(table.columns)
+        writer.writerows([_format_cell(c) for c in row] for row in table.rows)
+
+
+def _parse_cell(cell: str) -> object:
     try:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(table.columns)
-            for row in table.rows:
-                writer.writerow([_format_cell(c) for c in row])
-    except OSError:
-        raise
+        return float(cell)
+    except ValueError:
+        return cell
 
 
 def parse_csv(path: str) -> SweepTable:
     """Inverse of emit_csv up to the emitted 12-digit precision."""
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+        records = list(csv.reader(f))
+    if not records:
+        raise ConfigError(f"{path}: empty CSV")
+    return SweepTable(columns=tuple(records[0]),
+                      rows=tuple(tuple(map(_parse_cell, r)) for r in records[1:]))
+
+
+class Series(NamedTuple):
+    """n_t: a repetition count, AXIS, or None for the config's own.  Column
+    suffixes go at a '{}' in the label, else at its end."""
+
+    label: str
+    target: SweepTarget
+    n_t: int | str | None
+    overrides: dict
+
+
+_ANALYTIC_RACH = {SweepTarget.PREAMBLE_SUCCESS: preamble_success_prob,
+                  SweepTarget.RACH_SUCCESS: rach_success_prob,
+                  SweepTarget.REPETITION_EFFICIENCY: repetition_efficiency}
+
+
+def _analytic(target: SweepTarget, point: AppConfig, n_t: int) -> tuple[float, ...]:
+    if target is SweepTarget.AVAILABILITY:
+        lower, upper = availability_bounds(point.energy)
+        return lower.eta0, upper.eta0
+    return (_ANALYTIC_RACH[target](n_t, point.channel, point.mode, point.quadrature),)
+
+
+def _simulated(target: SweepTarget, point: AppConfig, n_t: int) -> tuple[float, ...]:
+    if target is SweepTarget.AVAILABILITY:
+        est = simulate_energy_chain(point.energy, DES_TRANSITIONS, point.sim.seed)
+        return est.eta_hat, est.se
+    summary = simulate_summary(point.channel, n_t, point.mode, point.sim)
+    est = summary.transmission if target is SweepTarget.PREAMBLE_SUCCESS else summary.rach
+    scale = float(n_t) if target is SweepTarget.REPETITION_EFFICIENCY else 1.0
+    return est.p_hat / scale, est.ci_halfwidth / scale
+
+
+def _evaluators(series: Series, engine: Engine):
+    """(column names, evaluator) pairs of one series under the engine."""
+    label = series.label if "{}" in series.label else series.label + "{}"
+    avail = series.target is SweepTarget.AVAILABILITY
+    pairs = []
+    if engine is not Engine.SIMULATION:
+        pairs.append((("_lower", "_upper") if avail else ("",), _analytic))
+    if engine is not Engine.ANALYTIC:
+        pairs.append((("_des", "_des_se") if avail else ("_sim", "_sim_ci"), _simulated))
+    return [(tuple(label.format(s) for s in suffixes), f) for suffixes, f in pairs]
+
+
+def _run(axis: str, values: tuple[float, ...], series: tuple[Series, ...], engine: Engine,
+         point_for: Callable[[float, Series], tuple[AppConfig, int]],
+         output_path: str | None) -> SweepTable:
+    """Evaluate the rows in axis order; write the table to `output_path`
+    if given.  On a row failure the completed rows plus an error-marker row
+    are written instead and attached to the exception as `partial_table`."""
+    plans = [(s, _evaluators(s, engine)) for s in series]
+    columns = (axis,) + tuple(n for _, evs in plans for names, _ in evs for n in names)
+    rows, runtimes = [], []
+    for value in values:
+        t0 = time.perf_counter()
         try:
-            header = tuple(next(reader))
-        except StopIteration as exc:
-            raise ConfigError(f"{path}: empty CSV") from exc
-        rows = []
-        for record in reader:
-            cells: list[object] = []
-            for cell in record:
-                try:
-                    cells.append(float(cell))
-                except ValueError:
-                    cells.append(cell)
-            rows.append(tuple(cells))
-    return SweepTable(columns=header, rows=tuple(rows))
+            cells: list[object] = [value]
+            for s, evaluators in plans:
+                point, n_t = point_for(value, s)
+                for _, evaluate in evaluators:
+                    cells.extend(evaluate(s.target, point, n_t))
+        except Exception as exc:
+            marker = (value,) + ("error",) * (len(columns) - 1)
+            exc.partial_table = SweepTable(columns, tuple(rows) + (marker,), tuple(runtimes))
+            if output_path:
+                emit_csv(exc.partial_table, output_path)
+            raise
+        rows.append(tuple(cells))
+        runtimes.append(time.perf_counter() - t0)
+    table = SweepTable(columns, tuple(rows), tuple(runtimes))
+    if output_path:
+        emit_csv(table, output_path)
+    return table
 
 
 def _override_text(key: str, value: float) -> str:
-    kind, _ = _FIELD_SPECS[key]
-    if kind == "int":
-        if float(value) != int(value):
-            raise ConfigError(f"{key}: sweep value {value} must be an integer")
-        return str(int(value))
-    return format(float(value), ".17g")
+    if _FIELD_SPECS[key][0] != "int":
+        return format(float(value), ".17g")
+    if float(value) != int(value):
+        raise ConfigError(f"{key}: sweep value {value} must be an integer")
+    return str(int(value))
 
 
-def _analytic_availability(cfg: AppConfig) -> tuple[float, float]:
-    lower, upper = availability_bounds(cfg.energy)
-    return lower.eta0, upper.eta0
-
-
-def _make_row_evaluator(build_point: Callable[[float], AppConfig],
-                        target: SweepTarget, engine: Engine,
-                        label: str) -> list[_Series]:
-    """Series whose evaluators rebuild the point config from the swept
-    value and run the requested engines."""
-    analytic = engine in (Engine.ANALYTIC, Engine.BOTH)
-    simulated = engine in (Engine.SIMULATION, Engine.BOTH)
-    series: list[_Series] = []
-
-    if target is SweepTarget.AVAILABILITY:
-        if analytic:
-            def eval_ana(v: float) -> tuple[float, ...]:
-                cfg = build_point(v)
-                return _analytic_availability(cfg)
-            series.append(_Series((f"{label}_lower", f"{label}_upper"), eval_ana))
-        if simulated:
-            def eval_sim(v: float) -> tuple[float, ...]:
-                cfg = build_point(v)
-                est = simulate_energy_chain(cfg.energy, DES_TRANSITIONS, cfg.sim.seed)
-                return est.eta_hat, est.se
-            series.append(_Series((f"{label}_des", f"{label}_des_se"), eval_sim))
-        return series
-
-    if analytic:
-        def eval_ana(v: float) -> tuple[float, ...]:
-            cfg = build_point(v)
-            n_t = cfg.energy.n_t
-            if target is SweepTarget.PREAMBLE_SUCCESS:
-                return (preamble_success_prob(n_t, cfg.channel, cfg.mode, cfg.quadrature),)
-            if target is SweepTarget.RACH_SUCCESS:
-                return (rach_success_prob(n_t, cfg.channel, cfg.mode, cfg.quadrature),)
-            return (repetition_efficiency(n_t, cfg.channel, cfg.mode, cfg.quadrature),)
-        series.append(_Series((label,), eval_ana))
-    if simulated:
-        def eval_sim(v: float) -> tuple[float, ...]:
-            cfg = build_point(v)
-            n_t = cfg.energy.n_t
-            summary = simulate_summary(cfg.channel, n_t, cfg.mode, cfg.sim)
-            est = summary.transmission if target is SweepTarget.PREAMBLE_SUCCESS else summary.rach
-            scale = float(n_t) if target is SweepTarget.REPETITION_EFFICIENCY else 1.0
-            return est.p_hat / scale, est.ci_halfwidth / scale
-        series.append(_Series((f"{label}_sim", f"{label}_sim_ci"), eval_sim))
-    return series
-
-
-def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepTable:
+def run_sweep(spec: SweepSpec) -> SweepTable:
     """Custom sweep: rebuild the configuration at each swept value of one
     key (derived defaults recompute) and evaluate the target."""
 
-    def build_point(v: float) -> AppConfig:
+    def point_for(v: float, _series: Series) -> tuple[AppConfig, int]:
         raw = dict(spec.config.raw)
         raw[spec.swept_parameter] = _override_text(spec.swept_parameter, v)
-        return build_config(raw)
+        point = build_config(raw)
+        return point, point.energy.n_t
 
-    series = _make_row_evaluator(build_point, spec.target, spec.engine,
-                                 spec.target.value)
-    plan = _Plan(axis=spec.swept_parameter, values=spec.values,
-                 series=tuple(series), output_path=spec.output_path)
-    return _run_plan(plan, resolve_workers(workers))
-
-
-# ---------------------------------------------------------------------------
-# presets: one per reference figure, documented by axis and series
-
-PRESET_REPLICATIONS = 1000
+    series = (Series(spec.target.value, spec.target, None, {}),)
+    return _run(spec.swept_parameter, spec.values, series, spec.engine, point_for,
+                spec.output_path)
 
 
-def _preset_sim(cfg: AppConfig):
-    """Simulation settings for preset rows: a light 1000-replication
-    default keeps multi-series presets interactive; an explicit
-    `replications` key in the config takes precedence."""
-    if "replications" in cfg.raw:
-        return cfg.sim
-    return replace(cfg.sim, replications=PRESET_REPLICATIONS)
+def run_custom(cfg: AppConfig, engine: Engine, output_path: str | None = None) -> SweepTable:
+    """Run the SweepSpec named by the config's sweep_key/sweep_values/target."""
+    if not cfg.sweep_key or not cfg.sweep_values or not cfg.target:
+        raise ConfigError("custom sweep requires sweep_key, sweep_values and target in the config")
+    return run_sweep(SweepSpec(SweepTarget(cfg.target), engine, cfg.sweep_key,
+                               tuple(cfg.sweep_values), cfg, output_path))
 
 
-def _rach_series_for(cfg: AppConfig, label: str, engine: Engine, n_t: int,
-                     channel_overrides: dict,
-                     efficiency: bool = False) -> list[_Series]:
-    analytic = engine in (Engine.ANALYTIC, Engine.BOTH)
-    simulated = engine in (Engine.SIMULATION, Engine.BOTH)
-    series: list[_Series] = []
+# presets: one table entry name -> (axis, values, series) per reference figure
 
-    def point_channel(ratio: float):
-        over = dict(channel_overrides)
-        over["lambda_d"] = ratio * cfg.channel.lambda_b
-        return replace(cfg.channel, **over)
-
-    scale = float(n_t) if efficiency else 1.0
-    if analytic:
-        def eval_ana(v: float, _pc=point_channel) -> tuple[float, ...]:
-            return (rach_success_prob(n_t, _pc(v), cfg.mode, cfg.quadrature) / scale,)
-        series.append(_Series((label,), eval_ana))
-    if simulated:
-        def eval_sim(v: float, _pc=point_channel) -> tuple[float, ...]:
-            est = simulate_summary(_pc(v), n_t, cfg.mode, _preset_sim(cfg)).rach
-            return est.p_hat / scale, est.ci_halfwidth / scale
-        series.append(_Series((f"{label}_sim", f"{label}_sim_ci"), eval_sim))
-    return series
+def _channel(cfg: AppConfig, **fields) -> AppConfig:
+    return replace(cfg, channel=replace(cfg.channel, **fields))
 
 
-def _preset_fig5(cfg: AppConfig, engine: Engine) -> _Plan:
-    """Availability bounds versus repetition value for three capacity
-    headrooms; the large-headroom pair shows the flat plateaus."""
-    values = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-    series: list[_Series] = []
-    analytic = engine in (Engine.ANALYTIC, Engine.BOTH)
-    simulated = engine in (Engine.SIMULATION, Engine.BOTH)
-    for headroom in (0, 10, 160):
-        def build(v: float, h=headroom):
-            return replace(cfg.energy, n_t=int(v), m0=int(v) + h)
-        if analytic:
-            def eval_ana(v: float, _b=build) -> tuple[float, ...]:
-                lower, upper = availability_bounds(_b(v))
-                return lower.eta0, upper.eta0
-            series.append(_Series((f"eta0_lower_h{headroom}", f"eta0_upper_h{headroom}"), eval_ana))
-        if simulated:
-            def eval_sim(v: float, _b=build) -> tuple[float, ...]:
-                est = simulate_energy_chain(_b(v), DES_TRANSITIONS, cfg.sim.seed)
-                return est.eta_hat, est.se
-            series.append(_Series((f"eta0_des_h{headroom}", f"eta0_des_se_h{headroom}"), eval_sim))
-    return _Plan(axis="n_t", values=values, series=tuple(series))
-
-
-def _preset_fig6(cfg: AppConfig, engine: Engine) -> _Plan:
-    """Availability bounds versus harvest rate."""
-    values = (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
-    series: list[_Series] = []
-    analytic = engine in (Engine.ANALYTIC, Engine.BOTH)
-    simulated = engine in (Engine.SIMULATION, Engine.BOTH)
-
-    def build(v: float):
-        return replace(cfg.energy, mu0=v)
-
-    if analytic:
-        def eval_ana(v: float) -> tuple[float, ...]:
-            lower, upper = availability_bounds(build(v))
-            return lower.eta0, upper.eta0
-        series.append(_Series(("eta0_lower", "eta0_upper"), eval_ana))
-    if simulated:
-        def eval_sim(v: float) -> tuple[float, ...]:
-            est = simulate_energy_chain(build(v), DES_TRANSITIONS, cfg.sim.seed)
-            return est.eta_hat, est.se
-        series.append(_Series(("eta0_des", "eta0_des_se"), eval_sim))
-    return _Plan(axis="mu0", values=values, series=tuple(series))
-
-
-def _preset_fig7(cfg: AppConfig, engine: Engine) -> _Plan:
-    """Random-access success versus energy availability, per repetition
-    value; more available energy means more contenders."""
-    values = (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0)
-    series: list[_Series] = []
-    for n_t in (1, 2, 4, 8):
-        analytic = engine in (Engine.ANALYTIC, Engine.BOTH)
-        simulated = engine in (Engine.SIMULATION, Engine.BOTH)
-        if analytic:
-            def eval_ana(v: float, n=n_t) -> tuple[float, ...]:
-                chan = replace(cfg.channel, eta0=v)
-                return (rach_success_prob(n, chan, cfg.mode, cfg.quadrature),)
-            series.append(_Series((f"rach_nt{n_t}",), eval_ana))
-        if simulated:
-            def eval_sim(v: float, n=n_t) -> tuple[float, ...]:
-                chan = replace(cfg.channel, eta0=v)
-                est = simulate_summary(chan, n, cfg.mode, _preset_sim(cfg)).rach
-                return est.p_hat, est.ci_halfwidth
-            series.append(_Series((f"rach_nt{n_t}_sim", f"rach_nt{n_t}_sim_ci"), eval_sim))
-    return _Plan(axis="eta0", values=values, series=tuple(series))
-
-
-def _preset_fig8(cfg: AppConfig, engine: Engine) -> _Plan:
-    """Random-access success versus transmit power, per repetition value."""
-    values = (0.005, 0.01, 0.02, 0.05, 0.1, 0.2)
-    series: list[_Series] = []
-    for n_t in (1, 8):
-        analytic = engine in (Engine.ANALYTIC, Engine.BOTH)
-        simulated = engine in (Engine.SIMULATION, Engine.BOTH)
-        if analytic:
-            def eval_ana(v: float, n=n_t) -> tuple[float, ...]:
-                chan = replace(cfg.channel, p=v)
-                return (rach_success_prob(n, chan, cfg.mode, cfg.quadrature),)
-            series.append(_Series((f"rach_nt{n_t}",), eval_ana))
-        if simulated:
-            def eval_sim(v: float, n=n_t) -> tuple[float, ...]:
-                chan = replace(cfg.channel, p=v)
-                est = simulate_summary(chan, n, cfg.mode, _preset_sim(cfg)).rach
-                return est.p_hat, est.ci_halfwidth
-            series.append(_Series((f"rach_nt{n_t}_sim", f"rach_nt{n_t}_sim_ci"), eval_sim))
-    return _Plan(axis="p", values=values, series=tuple(series))
-
-
-def _preset_fig9(cfg: AppConfig, engine: Engine) -> _Plan:
-    """Random-access success versus SINR threshold in dB."""
-    values = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
-    series: list[_Series] = []
-    for n_t in (1, 8):
-        analytic = engine in (Engine.ANALYTIC, Engine.BOTH)
-        simulated = engine in (Engine.SIMULATION, Engine.BOTH)
-        if analytic:
-            def eval_ana(v: float, n=n_t) -> tuple[float, ...]:
-                chan = replace(cfg.channel, gamma_th=10.0 ** (v / 10.0))
-                return (rach_success_prob(n, chan, cfg.mode, cfg.quadrature),)
-            series.append(_Series((f"rach_nt{n_t}",), eval_ana))
-        if simulated:
-            def eval_sim(v: float, n=n_t) -> tuple[float, ...]:
-                chan = replace(cfg.channel, gamma_th=10.0 ** (v / 10.0))
-                est = simulate_summary(chan, n, cfg.mode, _preset_sim(cfg)).rach
-                return est.p_hat, est.ci_halfwidth
-            series.append(_Series((f"rach_nt{n_t}_sim", f"rach_nt{n_t}_sim_ci"), eval_sim))
-    return _Plan(axis="gamma_db", values=values, series=tuple(series))
-
-
-_RATIO_VALUES = (100.0, 316.0, 1000.0, 3162.0, 10000.0)
-
-
-def _preset_fig10(cfg: AppConfig, engine: Engine) -> _Plan:
-    """Random-access success versus device-to-station density ratio, per
-    repetition value."""
-    series: list[_Series] = []
-    for n_t in (1, 2, 4, 8):
-        series.extend(_rach_series_for(cfg, f"rach_nt{n_t}", engine, n_t, {}))
-    return _Plan(axis="density_ratio", values=_RATIO_VALUES, series=tuple(series))
-
-
-def _preset_fig11(cfg: AppConfig, engine: Engine) -> _Plan:
-    """Light versus heavy traffic load over the density ratio axis."""
-    series: list[_Series] = []
-    for a_a, tag in ((0.001, "light"), (0.015, "heavy")):
-        for n_t in (1, 8):
-            series.extend(_rach_series_for(cfg, f"rach_{tag}_nt{n_t}", engine, n_t,
-                                           {"a_a": a_a}))
-    return _Plan(axis="density_ratio", values=_RATIO_VALUES, series=tuple(series))
-
-
-def _preset_fig12(cfg: AppConfig, engine: Engine) -> _Plan:
-    """Threshold series over the density ratio axis."""
-    series: list[_Series] = []
-    for gamma_db in (10.0, 20.0, 30.0):
-        series.extend(_rach_series_for(cfg, f"rach_g{int(gamma_db)}db", engine, 1,
-                                       {"gamma_th": 10.0 ** (gamma_db / 10.0)}))
-    return _Plan(axis="density_ratio", values=_RATIO_VALUES, series=tuple(series))
-
-
-def _preset_fig13(cfg: AppConfig, engine: Engine) -> _Plan:
-    """Repetition efficiency versus repetition value for density-ratio and
-    threshold series; efficiency strictly falls along the axis."""
-    values = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-    series: list[_Series] = []
-    analytic = engine in (Engine.ANALYTIC, Engine.BOTH)
-    simulated = engine in (Engine.SIMULATION, Engine.BOTH)
-    for ratio, gamma_db, tag in ((1000.0, 20.0, "r1e3_g20"),
-                                 (10000.0, 20.0, "r1e4_g20"),
-                                 (1000.0, 10.0, "r1e3_g10")):
-        def chan_for(ratio=ratio, gamma_db=gamma_db):
-            return replace(cfg.channel,
-                           lambda_d=ratio * cfg.channel.lambda_b,
-                           gamma_th=10.0 ** (gamma_db / 10.0))
-        if analytic:
-            def eval_ana(v: float, _cf=chan_for) -> tuple[float, ...]:
-                return (repetition_efficiency(int(v), _cf(), cfg.mode, cfg.quadrature),)
-            series.append(_Series((f"zeta_{tag}",), eval_ana))
-        if simulated:
-            def eval_sim(v: float, _cf=chan_for) -> tuple[float, ...]:
-                est = simulate_summary(_cf(), int(v), cfg.mode, _preset_sim(cfg)).rach
-                return est.p_hat / v, est.ci_halfwidth / v
-            series.append(_Series((f"zeta_{tag}_sim", f"zeta_{tag}_sim_ci"), eval_sim))
-    return _Plan(axis="n_t", values=values, series=tuple(series))
-
-
-PRESETS: dict[str, Callable[[AppConfig, Engine], _Plan]] = {
-    "fig5": _preset_fig5,
-    "fig6": _preset_fig6,
-    "fig7": _preset_fig7,
-    "fig8": _preset_fig8,
-    "fig9": _preset_fig9,
-    "fig10": _preset_fig10,
-    "fig11": _preset_fig11,
-    "fig12": _preset_fig12,
-    "fig13": _preset_fig13,
+# how an axis or override value lands in the point config, for repetition count n
+_SETTERS: dict[str, Callable[[AppConfig, float, int], AppConfig]] = {
+    "n_t": lambda c, v, n: c,
+    "headroom": lambda c, v, n: replace(c, energy=replace(c.energy, n_t=n, m0=n + int(v))),
+    "mu0": lambda c, v, n: replace(c, energy=replace(c.energy, mu0=v)),
+    "eta0": lambda c, v, n: _channel(c, eta0=v),
+    "p": lambda c, v, n: _channel(c, p=v),
+    "a_a": lambda c, v, n: _channel(c, a_a=v),
+    "gamma_db": lambda c, v, n: _channel(c, gamma_th=10.0 ** (v / 10.0)),
+    "density_ratio": lambda c, v, n: _channel(c, lambda_d=v * c.channel.lambda_b),
 }
 
 
+def _rach(*n_ts: int, tag: str = "", **overrides: float) -> tuple[Series, ...]:
+    return tuple(Series(f"rach{tag}_nt{n}", SweepTarget.RACH_SUCCESS, n, overrides)
+                 for n in n_ts)
+
+
+_RATIOS = (100.0, 316.0, 1000.0, 3162.0, 10000.0)
+
+PRESETS: dict[str, tuple[str, tuple[float, ...], tuple[Series, ...]]] = {
+    # availability bounds vs repetition value; headroom 160 shows the plateaus
+    "fig5": ("n_t", (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0), tuple(
+        Series(f"eta0{{}}_h{h}", SweepTarget.AVAILABILITY, AXIS, {"headroom": h})
+        for h in (0, 10, 160))),
+    # availability bounds versus harvest rate
+    "fig6": ("mu0", (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5),
+             (Series("eta0", SweepTarget.AVAILABILITY, None, {}),)),
+    # success vs availability (more energy, more contenders), power, threshold (dB)
+    "fig7": ("eta0", (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0), _rach(1, 2, 4, 8)),
+    "fig8": ("p", (0.005, 0.01, 0.02, 0.05, 0.1, 0.2), _rach(1, 8)),
+    "fig9": ("gamma_db", (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0), _rach(1, 8)),
+    # success vs density ratio: per repetition value, light/heavy load, threshold
+    "fig10": ("density_ratio", _RATIOS, _rach(1, 2, 4, 8)),
+    "fig11": ("density_ratio", _RATIOS,
+              _rach(1, 8, tag="_light", a_a=0.001) + _rach(1, 8, tag="_heavy", a_a=0.015)),
+    "fig12": ("density_ratio", _RATIOS, tuple(
+        Series(f"rach_g{g}db", SweepTarget.RACH_SUCCESS, 1, {"gamma_db": float(g)})
+        for g in (10, 20, 30))),
+    # repetition efficiency, strictly falling along the axis
+    "fig13": ("n_t", (1.0, 2.0, 4.0, 8.0, 16.0, 32.0), tuple(
+        Series(f"zeta_{tag}", SweepTarget.REPETITION_EFFICIENCY, AXIS,
+               {"density_ratio": ratio, "gamma_db": gamma_db})
+        for ratio, gamma_db, tag in ((1000.0, 20.0, "r1e3_g20"),
+                                     (10000.0, 20.0, "r1e4_g20"),
+                                     (1000.0, 10.0, "r1e3_g10")))),
+}
+
+
+def _preset_sim(cfg: AppConfig):
+    """Preset simulation settings: the light PRESET_REPLICATIONS default
+    unless the config names `replications` explicitly."""
+    return cfg.sim if "replications" in cfg.raw else replace(
+        cfg.sim, replications=PRESET_REPLICATIONS)
+
+
 def run_preset(name: str, cfg: AppConfig, engine: Engine,
-               output_path: str | None = None,
-               workers: int | None = None) -> SweepTable:
+               output_path: str | None = None) -> SweepTable:
     """Run one named preset; 'custom' sweeps are built through SweepSpec."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)} or 'custom'")
-    plan = PRESETS[name](cfg, engine)
-    plan = replace(plan, output_path=output_path)
-    return _run_plan(plan, resolve_workers(workers))
+    axis, values, series = PRESETS[name]
+    base = replace(cfg, sim=_preset_sim(cfg))
 
+    def point_for(v: float, s: Series) -> tuple[AppConfig, int]:
+        n_t = int(v) if s.n_t == AXIS else s.n_t or cfg.energy.n_t
+        point = base
+        for key, value in ((axis, v), *s.overrides.items()):
+            point = _SETTERS[key](point, value, n_t)
+        return point, n_t
 
-def run_custom(cfg: AppConfig, engine: Engine, output_path: str | None = None,
-               workers: int | None = None) -> SweepTable:
-    """Build a SweepSpec from the config's sweep_key/sweep_values/target
-    selections and run it."""
-    if not cfg.sweep_key or not cfg.sweep_values or not cfg.target:
-        raise ConfigError("custom sweep requires sweep_key, sweep_values and target in the config")
-    spec = SweepSpec(
-        target=SweepTarget(cfg.target),
-        engine=engine,
-        swept_parameter=cfg.sweep_key,
-        values=tuple(cfg.sweep_values),
-        config=cfg,
-        output_path=output_path,
-    )
-    return run_sweep(spec, workers)
+    return _run(axis, values, series, engine, point_for, output_path)

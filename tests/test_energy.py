@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from nbrach.energy import (
     BoundMode,
     EnergyConfig,
-    StrategySpec,
     availability_bounds,
     depletion_rate,
     energy_availability,
@@ -20,7 +19,6 @@ from nbrach.energy import (
     mean_off_time,
     mean_on_time,
     neg_B_inverse,
-    normalize_strategy,
     simulate_energy_chain,
 )
 from nbrach.errors import ConfigError
@@ -212,30 +210,6 @@ def test_config_validation():
         EnergyConfig(n_t=3)
     cfg = EnergyConfig(n_t=3, m0=20, enforce_standard_repetitions=False)
     assert cfg.n_t == 3
-
-
-def test_normalize_strategy():
-    shifted, cap = normalize_strategy(StrategySpec(5, 9), 20)
-    assert shifted == StrategySpec(0, 4)
-    assert cap == 15
-    again, cap2 = normalize_strategy(shifted, cap)
-    assert again == shifted and cap2 == cap
-    with pytest.raises(ConfigError):
-        normalize_strategy(StrategySpec(4, 4), 20)
-    with pytest.raises(ConfigError):
-        normalize_strategy(StrategySpec(0, 21), 20)
-
-
-def test_normalized_strategy_preserves_availability():
-    # a shifted toggle policy is the same chain: identical mean ON time
-    mu0, nu0 = 0.05, 0.11
-    spec, cap = StrategySpec(6, 10), 30
-    shifted, cap2 = normalize_strategy(spec, cap)
-    # hitting level off_level from on_level on the big chain equals
-    # hitting 0 from the shifted on level on the reduced chain
-    t_big = mean_on_time(mu0, nu0, cap - spec.off_level, spec.on_level - spec.off_level)
-    t_small = mean_on_time(mu0, nu0, cap2, shifted.on_level)
-    assert t_big == pytest.approx(t_small, rel=1e-14)
 
 
 # ---------------------------------------------------------------- simulator

@@ -1,7 +1,9 @@
 """Tests for the sweep engine and the command-line front end."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,12 +18,12 @@ from nbrach.sweep import (
     SweepTarget,
     emit_csv,
     parse_csv,
-    resolve_workers,
     run_custom,
     run_preset,
     run_sweep,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 DESK_RAW = {"lambda_b": "1", "lambda_d": "1000"}
 
 
@@ -77,24 +79,12 @@ def test_sweep_rebuilds_point_configs():
     assert t.rows[1][1] == pytest.approx(0.30, abs=1e-6)
 
 
-def test_sweep_worker_equivalence(tmp_path):
-    spec_one = SweepSpec(SweepTarget.PREAMBLE_SUCCESS, Engine.ANALYTIC, "gamma_th",
-                         (10.0, 100.0, 1000.0), desk_config(),
-                         output_path=str(tmp_path / "one.csv"))
-    spec_two = SweepSpec(SweepTarget.PREAMBLE_SUCCESS, Engine.ANALYTIC, "gamma_th",
-                         (10.0, 100.0, 1000.0), desk_config(),
-                         output_path=str(tmp_path / "two.csv"))
-    run_sweep(spec_one, workers=1)
-    run_sweep(spec_two, workers=2)
-    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
-
-
 def test_error_row_marker_and_partial_flush(tmp_path):
     out = tmp_path / "partial.csv"
     spec = SweepSpec(SweepTarget.RACH_SUCCESS, Engine.ANALYTIC, "alpha",
                      (4.0, 3.0, 1.5), desk_config(), output_path=str(out))
     with pytest.raises(ConfigError):
-        run_sweep(spec, workers=1)
+        run_sweep(spec)
     table = parse_csv(str(out))
     assert table.columns == ("alpha", "rach")
     assert len(table.rows) == 3
@@ -143,11 +133,11 @@ def test_preset_registry_complete():
 
 def test_unknown_preset():
     with pytest.raises(ConfigError, match="custom"):
-        run_preset("fig99", desk_config(), Engine.ANALYTIC, None, None)
+        run_preset("fig99", desk_config(), Engine.ANALYTIC)
 
 
 def test_preset_fig13_efficiency():
-    t = run_preset("fig13", build_config({}), Engine.ANALYTIC, None, None)
+    t = run_preset("fig13", build_config({}), Engine.ANALYTIC)
     assert t.columns == ("n_t", "zeta_r1e3_g20", "zeta_r1e4_g20", "zeta_r1e3_g10")
     assert t.rows[0][0] == 1.0
     assert t.rows[0][1] == pytest.approx(0.817811166154, rel=1e-9)
@@ -160,12 +150,20 @@ def test_preset_fig13_efficiency():
 
 
 def test_preset_fig5_availability_plateaus():
-    t = run_preset("fig5", build_config({}), Engine.ANALYTIC, None, None)
+    t = run_preset("fig5", build_config({}), Engine.ANALYTIC)
     assert t.columns[0] == "n_t"
     assert "eta0_lower_h160" in t.columns and "eta0_upper_h160" in t.columns
     row0 = dict(zip(t.columns, t.rows[0]))
     assert row0["eta0_lower_h160"] == pytest.approx(0.30, abs=1e-6)
     assert row0["eta0_upper_h160"] == pytest.approx(0.92, abs=1e-4)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_matches_reference_csv(name, tmp_path):
+    # the analytic preset tables at the reference operating point, byte for byte
+    out = tmp_path / f"{name}.csv"
+    run_preset(name, build_config({}), Engine.ANALYTIC, str(out))
+    assert out.read_bytes() == (ROOT / "perfbench" / "reference" / f"{name}.csv").read_bytes()
 
 
 def test_preset_simulation_default_replications():
@@ -174,20 +172,6 @@ def test_preset_simulation_default_replications():
     from nbrach.sweep import _preset_sim
     assert _preset_sim(build_config({})).replications == 1000
     assert _preset_sim(build_config({"replications": "77"})).replications == 77
-
-
-# ---------------------------------------------------------------- workers
-
-
-def test_resolve_workers(monkeypatch):
-    assert resolve_workers(3) == 3
-    monkeypatch.setenv("NBRACH_WORKERS", "5")
-    assert resolve_workers() == 5
-    monkeypatch.setenv("NBRACH_WORKERS", "0")
-    with pytest.raises(ConfigError):
-        resolve_workers()
-    monkeypatch.delenv("NBRACH_WORKERS")
-    assert resolve_workers() >= 1
 
 
 # ------------------------------------------------------------------- CLI
@@ -280,6 +264,12 @@ def test_cli_numeric_error_exit(tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().err
     table = parse_csv(out)
     assert table.rows[0] == (1.0, "error")
+    # without --out the same partial table goes to stdout
+    code = main(["sweep", "--config", cfg, "--preset", "custom"])
+    assert code == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert "numeric error" in captured.err
+    assert captured.out == open(out, encoding="utf-8").read()
 
 
 def test_cli_io_error_exit(tmp_path, capsys):
@@ -298,3 +288,13 @@ def test_cli_entry_point_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("n_t,rach")
+
+
+def test_sweep_demo_runs():
+    # the demo drives the public sweep API end to end
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "sweep_demo.py")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "identical: True" in proc.stdout
