@@ -50,18 +50,14 @@ from .rach import (
     select_epsilon,
 )
 from .simulation import (
-    Deployment,
     RachEstimate,
     Region,
     SimSettings,
     SimulationSummary,
-    TrialOutcome,
     associate_nearest,
     interference_horizon,
     sample_ppp,
     simulate_summary,
-    simulate_trial,
-    thin_and_assign,
 )
 from .config import AppConfig, build_config, describe, load_config, parse_config_text
 from .sweep import (
@@ -86,7 +82,6 @@ __all__ = [
     "ChainEstimate",
     "ChannelConfig",
     "ConfigError",
-    "Deployment",
     "EnergyConfig",
     "Engine",
     "InterferenceMode",
@@ -102,7 +97,6 @@ __all__ = [
     "SweepSpec",
     "SweepTable",
     "SweepTarget",
-    "TrialOutcome",
     "active_density",
     "associate_nearest",
     "availability_bounds",
@@ -138,6 +132,4 @@ __all__ = [
     "select_epsilon",
     "simulate_energy_chain",
     "simulate_summary",
-    "simulate_trial",
-    "thin_and_assign",
 ]

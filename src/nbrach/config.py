@@ -283,7 +283,7 @@ def build_config(raw: dict[str, str]) -> AppConfig:
         abs_tol=float(v.get("abs_tol", 1e-10)),
         max_subdivisions=int(v.get("max_subdivisions", 200)),
         pmf_tail_mass=float(v.get("pmf_tail_mass", 1e-8)),
-    ).validate()
+    )
 
     region = Region.from_area(float(v["region_area"])) if "region_area" in v else None
     sim = SimSettings(

@@ -26,7 +26,7 @@ class QuadratureSettings:
     max_subdivisions: int = 200
     pmf_tail_mass: float = 1e-8
 
-    def validate(self) -> "QuadratureSettings":
+    def __post_init__(self):
         if not (self.rel_tol > 0.0):
             raise ConfigError("rel_tol must be positive")
         if not (self.abs_tol > 0.0):
@@ -35,7 +35,6 @@ class QuadratureSettings:
             raise ConfigError("max_subdivisions must be at least 10")
         if not (0.0 < self.pmf_tail_mass < 1e-2):
             raise ConfigError("pmf_tail_mass must lie in (0, 1e-2)")
-        return self
 
 
 def improper_integral(func, lower: float, upper: float,
@@ -45,7 +44,7 @@ def improper_integral(func, lower: float, upper: float,
     Returns (value, error_estimate).  Raises QuadratureError with the best
     estimate attached when the adaptive scheme cannot meet the tolerance.
     """
-    q = (settings or QuadratureSettings()).validate()
+    q = settings or QuadratureSettings()
     if not np.isfinite(lower):
         raise ConfigError("lower integration limit must be finite")
     if upper <= lower:

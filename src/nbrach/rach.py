@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -89,11 +89,6 @@ class ChannelConfig:
             raise ConfigError("l_preambles must be a positive integer")
         if self.epsilon_override is not None and not (self.epsilon_override > 0.0):
             raise ConfigError("epsilon_override must be positive when given")
-
-    def scaled_intensities(self, lambda_b: float) -> "ChannelConfig":
-        """Same density ratio at a different absolute station intensity."""
-        ratio = self.lambda_d / self.lambda_b
-        return replace(self, lambda_b=lambda_b, lambda_d=ratio * lambda_b)
 
 
 @dataclass(frozen=True)
@@ -180,7 +175,7 @@ def pgfl_kernel(alpha: float, l: int, settings: QuadratureSettings | None = None
     The exponent at serving distance r0 is 2 pi lambda_Da gamma_th^(2/alpha)
     r0^2 times this kernel, so one cached quadrature serves every distance.
     """
-    q = (settings or QuadratureSettings()).validate()
+    q = settings or QuadratureSettings()
     _check_symbol_groups(l)
     return _pgfl_kernel_cached(float(alpha), int(l), q.rel_tol, q.abs_tol,
                                q.max_subdivisions)
@@ -196,7 +191,7 @@ def pgfl_exponent(r0: float, l: int, cfg: ChannelConfig,
     INTRA_CELL_ONLY truncates it at the average cell radius
     1/sqrt(pi lambda_b), which makes the integral distance-dependent.
     """
-    q = (settings or QuadratureSettings()).validate()
+    q = settings or QuadratureSettings()
     l = _check_symbol_groups(l)
     if r0 < 0.0:
         raise ConfigError("r0 must be non-negative")
@@ -225,7 +220,7 @@ def joint_symbol_success(l: int, cfg: ChannelConfig,
     Integrated in the squared-distance variable, where the distance law
     is a pure exponential and the unbounded-field exponent is linear.
     """
-    q = (settings or QuadratureSettings()).validate()
+    q = settings or QuadratureSettings()
     l = _check_symbol_groups(l)
     lam_da = active_density(cfg)
     eps = select_epsilon(lam_da, cfg.lambda_b, cfg.epsilon_override)
@@ -263,7 +258,7 @@ def preamble_success_prob(n_t: int, cfg: ChannelConfig,
     """Probability that at least one of n_t repetitions gets all its symbol
     groups through, by inclusion-exclusion over the joint laws (repetitions
     share the interferer positions, so they are dependent)."""
-    q = (settings or QuadratureSettings()).validate()
+    q = settings or QuadratureSettings()
     if int(n_t) != n_t or n_t < 1:
         raise ConfigError("n_t must be a positive integer")
     if n_t > MAX_ANALYTIC_REPETITIONS:
@@ -342,7 +337,7 @@ def rach_success_detail(n_t: int, cfg: ChannelConfig,
     the configured tail mass; the truncated tail is counted as failure, so
     the value is conservative and the detail carries the tail bound.
     """
-    q = (settings or QuadratureSettings()).validate()
+    q = settings or QuadratureSettings()
     p_s = preamble_success_prob(n_t, cfg, mode, q)
     lam_da = active_density(cfg)
     n_star = cell_load_truncation(lam_da, cfg.lambda_b, q.pmf_tail_mass)

@@ -15,12 +15,19 @@ and keeps the truncation bias a measured fraction of the confidence
 interval.  Passing an explicit Region instead samples the tagged
 position uniformly over a finite disc with an interior-cell guard, the
 construction whose edge bias the guard-sanity tests exercise.
+
+Each construction is only a geometry sampler: it turns one attempt's
+generator into the tagged station's distances and same-cell mask, or
+rejects the attempt.  simulate_summary owns the single replication loop
+(per-attempt seeding, redraw budget, tallies) and scores every accepted
+attempt with contention_outcome, the one per-trial scorer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -89,48 +96,6 @@ class SimSettings:
 
 
 @dataclass(frozen=True)
-class Deployment:
-    """One sampled network snapshot.
-
-    preamble_choice is -1 exactly where active_mask is false.
-    """
-
-    enb_positions: np.ndarray
-    device_positions: np.ndarray
-    association: np.ndarray
-    active_mask: np.ndarray
-    preamble_choice: np.ndarray
-
-    def __post_init__(self):
-        n_d = self.device_positions.shape[0]
-        if self.enb_positions.ndim != 2 or self.enb_positions.shape[1] != 2:
-            raise ConfigError("enb_positions must be an (n, 2) array")
-        if self.device_positions.ndim != 2 or self.device_positions.shape[1] != 2:
-            raise ConfigError("device_positions must be an (n, 2) array")
-        for name in ("association", "active_mask", "preamble_choice"):
-            if getattr(self, name).shape != (n_d,):
-                raise ConfigError(f"{name} must have one entry per device")
-        if n_d and self.enb_positions.shape[0] == 0:
-            raise ConfigError("deployment with devices requires at least one station")
-        inactive = ~self.active_mask
-        if np.any(self.preamble_choice[inactive] != -1):
-            raise ConfigError("preamble_choice must be -1 for inactive devices")
-        if np.any(self.preamble_choice[self.active_mask] < 0):
-            raise ConfigError("active devices must carry a preamble choice")
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    transmission_success: bool
-    collision: bool
-    rach_success: bool
-
-    def __post_init__(self):
-        if self.rach_success != (self.transmission_success and not self.collision):
-            raise ConfigError("rach_success must equal transmission_success and no collision")
-
-
-@dataclass(frozen=True)
 class RachEstimate:
     """Binomial estimate with a 95% normal-approximation interval."""
 
@@ -181,32 +146,17 @@ def associate_nearest(devices: np.ndarray, enbs: np.ndarray) -> np.ndarray:
     return np.argmin(np.einsum("ijk,ijk->ij", diff, diff), axis=1)
 
 
-def thin_and_assign(deployment: Deployment, p_active: float, l_preambles: int,
-                    rng: np.random.Generator) -> Deployment:
-    """Independent Bernoulli(p_active) activity and uniform preamble choice
-    per active device; the per-preamble active field is then Poisson with
-    intensity p_active * lambda_d / l_preambles."""
-    if not (0.0 <= p_active <= 1.0):
-        raise ConfigError("p_active must lie in [0, 1]")
-    if int(l_preambles) != l_preambles or l_preambles < 1:
-        raise ConfigError("l_preambles must be a positive integer")
-    n_d = deployment.device_positions.shape[0]
-    active = rng.random(n_d) < p_active
-    preamble = np.full(n_d, -1, dtype=np.intp)
-    preamble[active] = rng.integers(0, l_preambles, size=int(active.sum()))
-    return Deployment(
-        enb_positions=deployment.enb_positions,
-        device_positions=deployment.device_positions,
-        association=deployment.association,
-        active_mask=active,
-        preamble_choice=preamble,
-    )
+def contention_outcome(dist: np.ndarray, same_cell: np.ndarray, tagged: int,
+                       cfg: ChannelConfig, n_t: int, mode: InterferenceMode,
+                       rng: np.random.Generator) -> tuple[bool, bool]:
+    """Score one trial as (transmission success, collision).
 
-
-def _contention_outcome(dist: np.ndarray, same_cell: np.ndarray, tagged: int,
-                        cfg: ChannelConfig, n_t: int, mode: InterferenceMode,
-                        rng: np.random.Generator) -> TrialOutcome:
-    """Decide one trial from distances to the shared serving station.
+    `dist` holds every same-preamble active device's distance to the
+    tagged device's serving station and `same_cell` marks the devices that
+    station serves.  Interference comes from every device (FULL) or only
+    the same-cell ones (INTRA_CELL_ONLY); a collision is any other same-cell
+    device whose own transmission also succeeds at the shared station.
+    Random access succeeds on transmission without collision.
 
     One fading block of shape (devices, repetitions, 4) is drawn for the
     whole trial, so the tagged evaluation and every contender evaluation
@@ -221,7 +171,7 @@ def _contention_outcome(dist: np.ndarray, same_cell: np.ndarray, tagged: int,
         eligible = np.ones(dist.shape[0], dtype=bool)
     elif mode is InterferenceMode.INTRA_CELL_ONLY:
         pool = contrib[same_cell].sum(axis=0)
-        eligible = same_cell.copy()
+        eligible = same_cell
     else:
         raise ConfigError("mode must be an InterferenceMode")
 
@@ -234,42 +184,8 @@ def _contention_outcome(dist: np.ndarray, same_cell: np.ndarray, tagged: int,
         return bool(np.any(np.all(sinr >= cfg.gamma_th, axis=1)))
 
     transmission = succeeds(tagged)
-    collision = False
-    for idx in np.nonzero(same_cell)[0]:
-        if idx != tagged and succeeds(int(idx)):
-            collision = True
-            break
-    return TrialOutcome(
-        transmission_success=transmission,
-        collision=collision,
-        rach_success=transmission and not collision,
-    )
-
-
-def simulate_trial(deployment: Deployment, tagged: int, cfg: ChannelConfig,
-                   n_t: int, mode: InterferenceMode,
-                   rng: np.random.Generator) -> TrialOutcome:
-    """Outcome for one tagged device on a fixed deployment.
-
-    Interference comes from every active device sharing the tagged
-    preamble (FULL) or only those in the tagged cell (INTRA_CELL_ONLY);
-    a collision is any same-cell, same-preamble contender whose own
-    transmission also succeeds at the shared station.
-    """
-    if int(n_t) != n_t or n_t < 1:
-        raise ConfigError("n_t must be a positive integer")
-    if not deployment.active_mask[tagged]:
-        raise ConfigError("tagged device must be active")
-    members = np.nonzero(
-        deployment.active_mask
-        & (deployment.preamble_choice == deployment.preamble_choice[tagged])
-    )[0]
-    serve = deployment.association[tagged]
-    station = deployment.enb_positions[serve]
-    dist = np.hypot(*(deployment.device_positions[members] - station).T)
-    same_cell = deployment.association[members] == serve
-    tagged_pos = int(np.nonzero(members == tagged)[0][0])
-    return _contention_outcome(dist, same_cell, tagged_pos, cfg, int(n_t), mode, rng)
+    collision = any(succeeds(int(idx)) for idx in np.nonzero(same_cell)[0] if idx != tagged)
+    return transmission, collision
 
 
 def interference_horizon(cfg: ChannelConfig, n_t: int, tail_tol: float) -> float:
@@ -297,62 +213,45 @@ def interference_horizon(cfg: ChannelConfig, n_t: int, tail_tol: float) -> float
     return max(d, floor)
 
 
-def _simulate_origin_tagged(cfg: ChannelConfig, n_t: int, mode: InterferenceMode,
-                            settings: SimSettings) -> tuple[int, int, int, int]:
+# one attempt's geometry: (distances to the serving station, same-cell
+# mask), tagged device first; None rejects the attempt as a redraw
+_Trial = tuple[np.ndarray, np.ndarray]
+_Sampler = Callable[[np.random.Generator], "_Trial | None"]
+
+
+def _origin_sampler(cfg: ChannelConfig, n_t: int, tail_tol: float) -> tuple[_Sampler, str]:
     """Typical-point construction: tagged at the origin, stations sampled
     out to where the nearest-station and cell-membership searches are
     exact to exp(-25), interferers out to the interference horizon."""
-    lam_da = active_density(cfg)
     sqrt_plb = math.sqrt(math.pi * cfg.lambda_b)
     r_assoc = math.sqrt(_WINDOW_LOG_MISS) / sqrt_plb
     cell_check = _CELL_CHECK_RADII / sqrt_plb
     r_enb = r_assoc + 2.0 * cell_check + 1.0 / sqrt_plb
-    r_int = interference_horizon(cfg, n_t, settings.tail_tol)
+    r_int = interference_horizon(cfg, n_t, tail_tol)
     mean_enb = cfg.lambda_b * math.pi * r_enb ** 2
-    mean_int = lam_da * math.pi * r_int ** 2
+    mean_int = active_density(cfg) * math.pi * r_int ** 2
 
-    trans = coll = rach = 0
-    redraws = 0
-    done = 0
-    attempt = 0
-    while done < settings.replications:
-        if redraws > settings.redraw_budget:
-            raise ConfigError("redraw budget exhausted: station field too sparse to sample")
-        rng = np.random.default_rng(np.random.SeedSequence((settings.seed, attempt)))
-        attempt += 1
+    def sample(rng: np.random.Generator) -> _Trial | None:
         n_b = int(rng.poisson(mean_enb))
         if n_b == 0:
-            redraws += 1
-            continue
+            return None
         enbs = _disc_points(n_b, r_enb, rng)
         n_i = int(rng.poisson(mean_int)) if mean_int > 0.0 else 0
-        pts = _disc_points(n_i, r_int, rng)
-        devices = np.vstack((np.zeros((1, 2)), pts))
-
-        d_origin = np.hypot(enbs[:, 0], enbs[:, 1])
-        serve = int(np.argmin(d_origin))
-        station = enbs[serve]
-        dist = np.hypot(devices[:, 0] - station[0], devices[:, 1] - station[1])
-
+        devices = np.vstack((np.zeros((1, 2)), _disc_points(n_i, r_int, rng)))
+        serve = int(np.argmin(np.hypot(enbs[:, 0], enbs[:, 1])))
+        dist = np.hypot(*(devices - enbs[serve]).T)
         # exact membership test only where same-cell is not already impossible
         same_cell = np.zeros(devices.shape[0], dtype=bool)
         same_cell[0] = True
         near = np.nonzero(dist[1:] <= cell_check)[0] + 1
         if near.size:
-            diff = devices[near, None, :] - enbs[None, :, :]
-            owner = np.argmin(np.einsum("ijk,ijk->ij", diff, diff), axis=1)
-            same_cell[near] = owner == serve
+            same_cell[near] = associate_nearest(devices[near], enbs) == serve
+        return dist, same_cell
 
-        outcome = _contention_outcome(dist, same_cell, 0, cfg, n_t, mode, rng)
-        trans += outcome.transmission_success
-        coll += outcome.collision
-        rach += outcome.rach_success
-        done += 1
-    return trans, coll, rach, redraws
+    return sample, "station field too sparse to sample"
 
 
-def _simulate_finite_region(cfg: ChannelConfig, n_t: int, mode: InterferenceMode,
-                            settings: SimSettings) -> tuple[int, int, int, int]:
+def _window_sampler(cfg: ChannelConfig, settings: SimSettings) -> tuple[_Sampler, str]:
     """Finite-window construction: tagged position uniform over the disc,
     accepted only when its serving station sits at least `guard` inside
     the boundary; station and interferer fields cover the disc only, so
@@ -365,51 +264,53 @@ def _simulate_finite_region(cfg: ChannelConfig, n_t: int, mode: InterferenceMode
     if guard >= region.radius:
         raise ConfigError("guard depth leaves no interior: enlarge the region")
 
-    trans = coll = rach = 0
-    redraws = 0
-    done = 0
-    attempt = 0
-    while done < settings.replications:
-        if redraws > settings.redraw_budget:
-            raise ConfigError("redraw budget exhausted: no interior tagged cell found")
-        rng = np.random.default_rng(np.random.SeedSequence((settings.seed, attempt)))
-        attempt += 1
+    def sample(rng: np.random.Generator) -> _Trial | None:
         enbs = sample_ppp(cfg.lambda_b, region, rng)
         if enbs.shape[0] == 0:
-            redraws += 1
-            continue
+            return None
         pts = sample_ppp(lam_da, region, rng)
-        tagged_pos = _disc_points(1, region.radius, rng)
-        devices = np.vstack((tagged_pos, pts))
-
+        devices = np.vstack((_disc_points(1, region.radius, rng), pts))
         assoc = associate_nearest(devices, enbs)
         serve = int(assoc[0])
         if math.hypot(*enbs[serve]) > region.radius - guard:
-            redraws += 1
-            continue
-        station = enbs[serve]
-        dist = np.hypot(devices[:, 0] - station[0], devices[:, 1] - station[1])
-        same_cell = assoc == serve
+            return None
+        return np.hypot(*(devices - enbs[serve]).T), assoc == serve
 
-        outcome = _contention_outcome(dist, same_cell, 0, cfg, n_t, mode, rng)
-        trans += outcome.transmission_success
-        coll += outcome.collision
-        rach += outcome.rach_success
-        done += 1
-    return trans, coll, rach, redraws
+    return sample, "no interior tagged cell found"
 
 
 def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = InterferenceMode.FULL,
                      settings: SimSettings | None = None) -> SimulationSummary:
     """Run the full estimator and return transmission, collision and
-    random-access tallies with confidence intervals."""
+    random-access tallies with confidence intervals.
+
+    Attempt k draws from its own stream SeedSequence((seed, k)); an
+    attempt whose geometry is rejected counts as a redraw and is skipped.
+    """
     settings = settings or SimSettings()
     if int(n_t) != n_t or n_t < 1:
         raise ConfigError("n_t must be a positive integer")
+    n_t = int(n_t)
     if settings.region is None:
-        trans, coll, rach, redraws = _simulate_origin_tagged(cfg, int(n_t), mode, settings)
+        sample, exhausted = _origin_sampler(cfg, n_t, settings.tail_tol)
     else:
-        trans, coll, rach, redraws = _simulate_finite_region(cfg, int(n_t), mode, settings)
+        sample, exhausted = _window_sampler(cfg, settings)
+
+    trans = coll = rach = redraws = attempt = 0
+    while attempt - redraws < settings.replications:
+        if redraws > settings.redraw_budget:
+            raise ConfigError(f"redraw budget exhausted: {exhausted}")
+        rng = np.random.default_rng(np.random.SeedSequence((settings.seed, attempt)))
+        attempt += 1
+        trial = sample(rng)
+        if trial is None:
+            redraws += 1
+            continue
+        transmission, collision = contention_outcome(*trial, 0, cfg, n_t, mode, rng)
+        trans += transmission
+        coll += collision
+        rach += transmission and not collision
+
     n = settings.replications
     return SimulationSummary(
         transmission=_estimate(trans, n, settings.seed),
@@ -417,4 +318,3 @@ def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = Inte
         collision_rate=coll / n,
         redraws=redraws,
     )
-

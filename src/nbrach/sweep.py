@@ -164,6 +164,8 @@ def _run(axis: str, values: tuple[float, ...], series: tuple[Series, ...], engin
     """Evaluate the rows in axis order; write the table to `output_path`
     if given.  On a row failure the completed rows plus an error-marker row
     are written instead and attached to the exception as `partial_table`."""
+    if output_path == "":
+        raise ConfigError("output path must not be empty")
     plans = [(s, _evaluators(s, engine)) for s in series]
     columns = (axis,) + tuple(n for _, evs in plans for names, _ in evs for n in names)
     rows, runtimes = [], []
@@ -178,13 +180,13 @@ def _run(axis: str, values: tuple[float, ...], series: tuple[Series, ...], engin
         except Exception as exc:
             marker = (value,) + ("error",) * (len(columns) - 1)
             exc.partial_table = SweepTable(columns, tuple(rows) + (marker,), tuple(runtimes))
-            if output_path:
+            if output_path is not None:
                 emit_csv(exc.partial_table, output_path)
             raise
         rows.append(tuple(cells))
         runtimes.append(time.perf_counter() - t0)
     table = SweepTable(columns, tuple(rows), tuple(runtimes))
-    if output_path:
+    if output_path is not None:
         emit_csv(table, output_path)
     return table
 

@@ -53,11 +53,10 @@ def test_domain_validation():
 
 def test_settings_validation():
     with pytest.raises(ConfigError):
-        QuadratureSettings(rel_tol=0.0).validate()
+        QuadratureSettings(rel_tol=0.0)
     with pytest.raises(ConfigError):
-        QuadratureSettings(abs_tol=-1.0).validate()
+        QuadratureSettings(abs_tol=-1.0)
     with pytest.raises(ConfigError):
-        QuadratureSettings(max_subdivisions=1).validate()
+        QuadratureSettings(max_subdivisions=1)
     with pytest.raises(ConfigError):
-        QuadratureSettings(pmf_tail_mass=0.5).validate()
-    assert QuadratureSettings().validate() is not None
+        QuadratureSettings(pmf_tail_mass=0.5)

@@ -332,14 +332,6 @@ def test_channel_config_validation():
         ChannelConfig(epsilon_override=-1.0)
 
 
-def test_scaled_intensities_preserves_ratio():
-    cfg = ChannelConfig(lambda_b=0.1, lambda_d=100.0)
-    scaled = cfg.scaled_intensities(1.0)
-    assert scaled.lambda_b == 1.0
-    assert scaled.lambda_d == pytest.approx(1000.0)
-    assert scaled.gamma_th == cfg.gamma_th
-
-
 def test_scale_invariance_of_success():
     # success probabilities depend on densities only through their ratio
     a = rach_success_prob(2, ChannelConfig(lambda_b=0.1, lambda_d=100.0,

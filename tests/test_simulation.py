@@ -7,43 +7,18 @@ import pytest
 from nbrach.errors import ConfigError
 from nbrach.rach import ChannelConfig, InterferenceMode, joint_symbol_success
 from nbrach.simulation import (
-    Deployment,
     Region,
     SimSettings,
-    TrialOutcome,
     associate_nearest,
+    contention_outcome,
     interference_horizon,
     sample_ppp,
     simulate_summary,
-    simulate_trial,
-    thin_and_assign,
 )
 
 DESK = ChannelConfig(lambda_b=1.0, lambda_d=1000.0)
-
-
-def disc_deployment(n_enb: int, n_dev: int, seed: int, radius: float = 5.0) -> Deployment:
-    rng = np.random.default_rng(seed)
-    enbs = radius * (rng.random((n_enb, 2)) - 0.5)
-    devs = radius * (rng.random((n_dev, 2)) - 0.5)
-    assoc = associate_nearest(devs, enbs)
-    return Deployment(
-        enb_positions=enbs,
-        device_positions=devs,
-        association=assoc,
-        active_mask=np.ones(n_dev, dtype=bool),
-        preamble_choice=np.zeros(n_dev, dtype=np.intp),
-    )
-
-
-def colocated_pair() -> Deployment:
-    return Deployment(
-        enb_positions=np.array([[0.0, 0.0]]),
-        device_positions=np.array([[0.3, 0.0], [0.3, 0.0]]),
-        association=np.array([0, 0]),
-        active_mask=np.array([True, True]),
-        preamble_choice=np.array([2, 2]),
-    )
+# two same-cell devices at one point, 0.3 km from their shared station
+COLOCATED = (np.array([0.3, 0.3]), np.array([True, True]))
 
 
 # ------------------------------------------------------------- point fields
@@ -95,134 +70,55 @@ def test_associate_nearest_requires_station():
         associate_nearest(np.zeros((1, 2)), np.zeros((0, 2)))
 
 
-def test_thinning_statistics():
-    dep = disc_deployment(10, 5000, seed=4)
-    rng = np.random.default_rng(8)
-    thinned = thin_and_assign(dep, 0.3, 48, rng)
-    n_active = int(thinned.active_mask.sum())
-    assert abs(n_active - 1500) <= 3.0 * np.sqrt(5000 * 0.3 * 0.7)
-    assert np.all(thinned.preamble_choice[~thinned.active_mask] == -1)
-    choices = thinned.preamble_choice[thinned.active_mask]
-    assert choices.min() >= 0 and choices.max() < 48
-    # uniform preamble choice: all 48 bins hit at this sample size
-    assert np.unique(choices).size == 48
-
-
-def test_thinning_validation():
-    dep = disc_deployment(3, 10, seed=1)
-    rng = np.random.default_rng(0)
-    with pytest.raises(ConfigError):
-        thin_and_assign(dep, 1.5, 48, rng)
-    with pytest.raises(ConfigError):
-        thin_and_assign(dep, 0.5, 0, rng)
-
-
-def test_deployment_validation():
-    with pytest.raises(ConfigError):
-        Deployment(
-            enb_positions=np.zeros((1, 2)),
-            device_positions=np.zeros((2, 2)),
-            association=np.zeros(2, dtype=np.intp),
-            active_mask=np.array([True, False]),
-            preamble_choice=np.array([1, 5]),
-        )
-    with pytest.raises(ConfigError):
-        Deployment(
-            enb_positions=np.zeros((0, 2)),
-            device_positions=np.zeros((1, 2)),
-            association=np.zeros(1, dtype=np.intp),
-            active_mask=np.array([True]),
-            preamble_choice=np.array([0]),
-        )
-
-
-def test_trial_outcome_invariant():
-    with pytest.raises(ConfigError):
-        TrialOutcome(transmission_success=True, collision=False,
-                     rach_success=False)
-    out = TrialOutcome(True, True, False)
-    assert not out.rach_success
-
-
 # ------------------------------------------------------------ trial logic
 
 
 def test_lone_device_succeeds():
-    dep = Deployment(
-        enb_positions=np.array([[0.0, 0.0]]),
-        device_positions=np.array([[0.1, 0.0]]),
-        association=np.array([0]),
-        active_mask=np.array([True]),
-        preamble_choice=np.array([0]),
-    )
     # thermal noise is ~16 orders below the received power here
-    out = simulate_trial(dep, 0, ChannelConfig(lambda_b=1.0, lambda_d=0.0),
-                         1, InterferenceMode.FULL, np.random.default_rng(0))
-    assert out.transmission_success and not out.collision and out.rach_success
-
-
-def test_trial_requires_active_tagged():
-    dep = disc_deployment(3, 5, seed=6)
-    masked = Deployment(
-        enb_positions=dep.enb_positions,
-        device_positions=dep.device_positions,
-        association=dep.association,
-        active_mask=np.array([False, True, True, True, True]),
-        preamble_choice=np.array([-1, 0, 0, 0, 0]),
-    )
-    with pytest.raises(ConfigError):
-        simulate_trial(masked, 0, DESK, 1, InterferenceMode.FULL,
-                       np.random.default_rng(0))
+    trans, coll = contention_outcome(np.array([0.1]), np.array([True]), 0,
+                                     ChannelConfig(lambda_b=1.0, lambda_d=0.0), 1,
+                                     InterferenceMode.FULL, np.random.default_rng(0))
+    assert trans and not coll
 
 
 def test_colocated_mutual_exclusion_at_high_threshold():
     # same-station contenders cannot both clear a threshold above one
     # within the same repetition
-    dep = colocated_pair()
     cfg = ChannelConfig(lambda_b=1.0, lambda_d=0.0)
     for seed in range(300):
-        out = simulate_trial(dep, 0, cfg, 1, InterferenceMode.FULL,
-                             np.random.default_rng(seed))
-        assert not (out.transmission_success and out.collision)
+        trans, coll = contention_outcome(*COLOCATED, 0, cfg, 1, InterferenceMode.FULL,
+                                         np.random.default_rng(seed))
+        assert not (trans and coll)
 
 
 def test_colocated_symmetry_below_unit_threshold():
     # below gamma = 1 both can clear; outcomes mirror when roles swap
-    dep = colocated_pair()
     cfg = ChannelConfig(lambda_b=1.0, lambda_d=0.0, gamma_th=0.25)
     both = 0
     for seed in range(60):
-        a = simulate_trial(dep, 0, cfg, 1, InterferenceMode.FULL,
-                           np.random.default_rng(seed))
-        b = simulate_trial(dep, 1, cfg, 1, InterferenceMode.FULL,
-                           np.random.default_rng(seed))
-        assert a.transmission_success == b.collision
-        assert a.collision == b.transmission_success
-        if a.transmission_success and a.collision:
+        a_trans, a_coll = contention_outcome(*COLOCATED, 0, cfg, 1, InterferenceMode.FULL,
+                                             np.random.default_rng(seed))
+        b_trans, b_coll = contention_outcome(*COLOCATED, 1, cfg, 1, InterferenceMode.FULL,
+                                             np.random.default_rng(seed))
+        assert a_trans == b_coll
+        assert a_coll == b_trans
+        if a_trans and a_coll:
             both += 1
     assert both > 0
 
 
 def test_trial_interference_mode_pools():
     # an out-of-cell contender harms FULL but not INTRA_CELL_ONLY
-    dep = Deployment(
-        enb_positions=np.array([[0.0, 0.0], [10.0, 0.0]]),
-        device_positions=np.array([[1.0, 0.0], [9.0, 0.0]]),
-        association=np.array([0, 1]),
-        active_mask=np.array([True, True]),
-        preamble_choice=np.array([0, 0]),
-    )
+    dist, same_cell = np.array([1.0, 9.0]), np.array([True, False])
     cfg = ChannelConfig(lambda_b=1.0, lambda_d=0.0)
-    full = sum(
-        simulate_trial(dep, 0, cfg, 1, InterferenceMode.FULL,
-                       np.random.default_rng(s)).transmission_success
-        for s in range(300))
-    intra = sum(
-        simulate_trial(dep, 0, cfg, 1, InterferenceMode.INTRA_CELL_ONLY,
-                       np.random.default_rng(s)).transmission_success
-        for s in range(300))
+
+    def successes(mode):
+        return sum(contention_outcome(dist, same_cell, 0, cfg, 1, mode,
+                                      np.random.default_rng(s))[0] for s in range(300))
+
+    intra = successes(InterferenceMode.INTRA_CELL_ONLY)
     assert intra == 300
-    assert full < intra
+    assert successes(InterferenceMode.FULL) < intra
 
 
 # ------------------------------------------------------------ estimator
@@ -235,6 +131,27 @@ def test_summary_deterministic():
     assert a == b
     c = simulate_summary(DESK, 2, settings=SimSettings(replications=300, seed=18))
     assert c != a
+
+
+# Tallies recorded before the single-loop refactor; any change to the
+# per-attempt draw order shows here and must be declared as a stream change.
+CROWD = ChannelConfig(lambda_b=1.0, lambda_d=10_000.0, gamma_th=0.5)
+
+
+@pytest.mark.parametrize("n_t, mode, settings, expected", [
+    (8, InterferenceMode.FULL, SimSettings(replications=400, seed=101),
+     (378, 373, 19, 0)),
+    (4, InterferenceMode.INTRA_CELL_ONLY, SimSettings(replications=400, seed=102),
+     (385, 382, 17, 0)),
+    (2, InterferenceMode.FULL, SimSettings(replications=400, seed=103, region=Region(4.0)),
+     (364, 362, 14, 370)),
+], ids=["origin-full", "origin-intra", "window"])
+def test_summary_stream_pinned(n_t, mode, settings, expected):
+    s = simulate_summary(CROWD, n_t, mode, settings)
+    trans, rach, coll, redraws = expected
+    n = settings.replications
+    assert (s.transmission.p_hat, s.rach.p_hat, s.collision_rate, s.redraws) \
+        == (trans / n, rach / n, coll / n, redraws)
 
 
 def test_summary_matches_analytics_at_transmission_level():

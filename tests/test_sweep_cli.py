@@ -280,6 +280,18 @@ def test_cli_io_error_exit(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
+def test_cli_empty_out_is_config_error(tmp_path, capsys, monkeypatch):
+    # rejected before any row is evaluated
+    rows = []
+    monkeypatch.setattr("nbrach.sweep._analytic", lambda *args: rows.append(args) or (0.0,))
+    code = main(["sweep", "--preset", "fig6", "--out", ""])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "output path" in captured.err
+    assert captured.out == ""
+    assert rows == []
+
+
 def test_cli_entry_point_subprocess(tmp_path):
     cfg = write_cfg(tmp_path, "sweep_key = n_t\nsweep_values = 1, 2\ntarget = rach\n")
     proc = subprocess.run(
@@ -291,10 +303,15 @@ def test_cli_entry_point_subprocess(tmp_path):
 
 
 def test_sweep_demo_runs():
-    # the demo drives the public sweep API end to end
+    # each demo drives the public API end to end; simulation_crosscheck_demo.py
+    # is left out for its runtime (several seconds), and test_simulation.py
+    # covers the estimator it drives
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "sweep_demo.py")],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert "identical: True" in proc.stdout
+    for demo, marker in [("availability_demo.py", "event-driven cross-check"),
+                         ("rach_curves_demo.py", "inclusion-exclusion"),
+                         ("sweep_demo.py", "identical: True")]:
+        proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, f"{demo}: {proc.stderr}"
+        assert marker in proc.stdout, demo
