@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import build_config, describe, load_config
+from .config import describe, load_config, with_value
 from .energy import availability_bounds
 from .errors import ConfigError, NumericError
 from .sweep import Engine, PRESETS, emit_csv, run_custom, run_preset
@@ -58,19 +58,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_with_seed(path: str | None, seed: int | None):
-    cfg = load_config(path)
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError("seed must be non-negative")
-        raw = dict(cfg.raw)
-        raw["seed"] = str(seed)
-        cfg = build_config(raw)
-    return cfg
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_with_seed(args.config, args.seed)
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg = with_value(cfg, "seed", args.seed)
     engine = Engine(args.engine)
     try:
         if args.preset == "custom":

@@ -1,13 +1,14 @@
 """Flat key = value configuration with unit-suffixed quantities.
 
-One text file configures all layers: battery chain, radio channel,
-simulator and sweep selection.  Values may carry unit suffixes (dB,
-dBm, W, mW, J, ms, kHz, /km2) that are converted at this boundary, so
-everything downstream works in linear watts, joules, seconds and
-1/km^2.  Unset keys take the reference parameter set; the handful of
-derived defaults (per-repetition energies from power times duration,
-noise power from the tone bandwidth, availability from the battery
-model) are recomputed from whatever the file does override.
+One table, `KEYS`, maps each key to its kind, the layer it sets and the
+field there.  It drives the key check, the conversion of values (unit
+suffixes such as dB, dBm, mW, uJ, ms, kHz, /km2 become linear SI units
+here; numbers must be finite), the assembly of the layer dataclasses and
+`describe`, whose output is itself a valid config file.  Unset keys take
+the dataclass defaults, the reference parameter set; only the derived
+defaults live here (repetition energies from power and the config-only
+durations t_r and t_g, m0 from n_t, sigma2 from the config-only bandwidth
+bw, eta0 from the battery model), recomputed from what the file sets.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from .energy import BoundMode, EnergyConfig, availability_bounds
 from .errors import ConfigError
 from .quadrature import QuadratureSettings
-from .rach import ChannelConfig, InterferenceMode
+from .rach import ChannelConfig, InterferenceMode, noise_power_watt
 from .simulation import Region, SimSettings
 
 # Battery headroom above the cutoff at which both availability bounds
@@ -30,146 +31,69 @@ PLATEAU_HEADROOM = 160
 # availability plateau at 0.92 for the reference parameter set.
 DATA_ENERGY_BUDGET_FRACTION = 0.4
 
-_DB10 = 10.0
+# Reference preamble repetition and data transmission durations, seconds.
+PREAMBLE_DURATION_S = 6e-3
+DATA_DURATION_S = 31e-3
 
-
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / _DB10)
-
-
-def _dbm_to_watt(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / _DB10)
-
-
-def noise_power_watt(bandwidth_hz: float) -> float:
-    """Thermal noise over one tone: -174 dBm/Hz plus 10 log10(BW)."""
-    if not (bandwidth_hz > 0.0):
-        raise ConfigError("bandwidth must be positive")
-    return _dbm_to_watt(-174.0 + _DB10 * math.log10(bandwidth_hz))
-
-
-_UNIT_SCALES = {
-    "power": {None: 1.0, "W": 1.0, "mW": 1e-3},
-    "energy": {None: 1.0, "J": 1.0, "mJ": 1e-3, "uJ": 1e-6},
-    "time": {None: 1.0, "s": 1.0, "ms": 1e-3},
-    "intensity": {None: 1.0, "/km2": 1.0},
-    "area": {None: 1.0, "km2": 1.0},
-    "length": {None: 1.0, "km": 1.0},
-    "frequency": {None: 1.0, "Hz": 1.0, "kHz": 1e3},
-    "plain": {None: 1.0},
+# quantity kind -> {unit suffix: scale factor or converter}; a bare number
+# is taken in the kind's base unit, the suffix with scale 1.0
+_UNITS: dict[str, dict[str, object]] = {
+    "plain": {},
+    "threshold": {"dB": lambda db: 10.0 ** (db / 10.0)},
+    "power": {"W": 1.0, "mW": 1e-3},
+    "noise": {"W": 1.0, "mW": 1e-3, "dBm": lambda dbm: 10.0 ** ((dbm - 30.0) / 10.0)},
+    "energy": {"J": 1.0, "mJ": 1e-3, "uJ": 1e-6},
+    "time": {"s": 1.0, "ms": 1e-3},
+    "intensity": {"/km2": 1.0},
+    "area": {"km2": 1.0},
+    "length": {"km": 1.0},
+    "frequency": {"Hz": 1.0, "kHz": 1e3},
 }
 
 # longest suffixes first so "dBm" wins over "dB" and "ms" over "s"
-_KNOWN_UNITS = ("/km2", "km2", "dBm", "kHz", "mW", "ms", "mJ", "uJ", "dB",
-                "Hz", "km", "W", "J", "s")
+_SUFFIXES = sorted(dict.fromkeys(u for units in _UNITS.values() for u in units),
+                   key=len, reverse=True)
 
-
-def _split_unit(text: str) -> tuple[float, str | None]:
-    text = text.strip()
-    try:
-        return float(text), None
-    except ValueError:
-        pass
-    for unit in _KNOWN_UNITS:
-        if text.endswith(unit):
-            head = text[: -len(unit)].strip()
-            try:
-                return float(head), unit
-            except ValueError:
-                continue
-    raise ConfigError(f"cannot parse quantity {text!r}")
-
-
-def _parse_quantity(key: str, text: str, kind: str) -> float:
-    value, unit = _split_unit(text)
-    if kind == "threshold":
-        return _db_to_linear(value) if unit == "dB" else _reject_unit(key, unit, value)
-    if kind == "noise":
-        if unit == "dBm":
-            return _dbm_to_watt(value)
-        return value * _scale_for(key, "power", unit)
-    scales = _UNIT_SCALES.get(kind)
-    if scales is None:
-        raise ConfigError(f"unhandled quantity kind {kind!r}")
-    return value * _scale_for(key, kind, unit)
-
-
-def _scale_for(key: str, kind: str, unit: str | None) -> float:
-    scales = _UNIT_SCALES[kind]
-    if unit not in scales:
-        raise ConfigError(f"{key}: unit {unit!r} not valid for a {kind} quantity")
-    return scales[unit]
-
-
-def _reject_unit(key: str, unit: str | None, value: float) -> float:
-    if unit is not None:
-        raise ConfigError(f"{key}: unexpected unit {unit!r}")
-    return value
-
-
-def _parse_int(key: str, text: str) -> int:
-    try:
-        return int(text.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected an integer, got {text!r}") from exc
-
-
-def _parse_bool(key: str, text: str) -> bool:
-    token = text.strip().lower()
-    if token in ("true", "yes", "on", "1"):
-        return True
-    if token in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {text!r}")
-
-
-def _parse_float_list(key: str, text: str) -> tuple[float, ...]:
-    items = [t for t in (piece.strip() for piece in text.split(",")) if t]
-    if not items:
-        raise ConfigError(f"{key}: expected a comma-separated list of numbers")
-    try:
-        return tuple(float(t) for t in items)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected numbers, got {text!r}") from exc
-
-
-# key -> (kind tag, short doc); kinds: quantity kinds above plus
-# int/bool/float/enum:<options>/list/str
-_FIELD_SPECS: dict[str, tuple[str, str]] = {
-    "mu0": ("plain", "energy-harvest rate, units/s"),
-    "a_a": ("plain", "non-empty data-buffer probability"),
-    "p": ("power", "transmit power"),
-    "t_r": ("time", "preamble repetition duration"),
-    "t_g": ("time", "data transmission duration"),
-    "e0_ra": ("energy", "energy per preamble repetition"),
-    "e0_da": ("energy", "energy per data repetition"),
-    "m0": ("int", "battery capacity, energy units"),
-    "n_t": ("int", "repetition value / ON-toggle cutoff"),
-    "bound": ("enum:failure,success", "availability bound for single-bound outputs"),
-    "standard_repetitions": ("bool", "restrict n_t to the standard set"),
-    "alpha": ("plain", "path-loss exponent"),
-    "gamma_th": ("threshold", "SINR threshold (dB or linear)"),
-    "sigma2": ("noise", "noise power (W or dBm)"),
-    "bw": ("frequency", "tone bandwidth (Hz or kHz)"),
-    "lambda_b": ("intensity", "station intensity, 1/km2"),
-    "lambda_d": ("intensity", "device intensity, 1/km2"),
-    "l_preambles": ("int", "number of contention preambles"),
-    "epsilon": ("plain", "distance-law correction override"),
-    "eta0": ("plain", "energy availability override"),
-    "mode": ("enum:full,intra", "interference scope"),
-    "replications": ("int", "Monte-Carlo replications per point"),
-    "seed": ("int", "Monte-Carlo seed"),
-    "region_area": ("area", "explicit sampling-region area, km2"),
-    "guard": ("length", "interior-cell guard depth, km"),
-    "tail_tol": ("plain", "far-field interference truncation budget"),
-    "redraw_budget": ("int", "rejected-replication budget"),
-    "rel_tol": ("plain", "quadrature relative tolerance"),
-    "abs_tol": ("plain", "quadrature absolute tolerance"),
-    "max_subdivisions": ("int", "quadrature subdivision cap"),
-    "pmf_tail_mass": ("plain", "cell-load truncation tail mass"),
-    "sweep_key": ("str", "custom sweep parameter name"),
-    "sweep_values": ("list", "custom sweep values, comma separated"),
-    "target": ("enum:availability,preamble,rach,efficiency", "custom sweep quantity"),
+# key -> (kind, layer, field).  Kinds: the quantity kinds of _UNITS, "int",
+# "bool", "list" (comma-separated numbers), "str", or a dict of the allowed
+# tokens.  Layers: an AppConfig layer attribute, "app" for AppConfig's own
+# fields, or None for a config-only input that feeds a derived default.
+KEYS: dict[str, tuple[object, str | None, str]] = {
+    "mu0": ("plain", "energy", "mu0"),                  # harvest rate, units/s
+    "a_a": ("plain", "energy", "a_a"),                  # non-empty buffer probability
+    "p": ("power", "energy", "p"),                      # transmit power
+    "t_r": ("time", None, "t_r"),                       # preamble repetition duration
+    "t_g": ("time", None, "t_g"),                       # data transmission duration
+    "e0_ra": ("energy", "energy", "e0_ra"),             # energy per preamble repetition
+    "e0_da": ("energy", "energy", "e0_da"),             # energy per data repetition
+    "m0": ("int", "energy", "m0"),                      # battery capacity, energy units
+    "n_t": ("int", "energy", "n_t"),                    # repetition value / ON cutoff
+    "bound": ({m.value: m for m in BoundMode}, "energy", "bound_mode"),
+    "standard_repetitions": ("bool", "energy", "enforce_standard_repetitions"),
+    "alpha": ("plain", "channel", "alpha"),             # path-loss exponent
+    "gamma_th": ("threshold", "channel", "gamma_th"),   # SINR threshold, dB or linear
+    "sigma2": ("noise", "channel", "sigma2"),           # noise power, W or dBm
+    "bw": ("frequency", None, "bw"),                    # tone bandwidth
+    "lambda_b": ("intensity", "channel", "lambda_b"),   # station intensity
+    "lambda_d": ("intensity", "channel", "lambda_d"),   # device intensity
+    "l_preambles": ("int", "channel", "l_preambles"),   # contention preambles
+    "epsilon": ("plain", "channel", "epsilon_override"),  # distance-law correction
+    "eta0": ("plain", "channel", "eta0"),               # energy availability override
+    "mode": ({m.value: m for m in InterferenceMode}, "app", "mode"),
+    "replications": ("int", "sim", "replications"),     # Monte-Carlo replications
+    "seed": ("int", "sim", "seed"),                     # Monte-Carlo seed
+    "region_area": ("area", "sim", "region"),           # explicit sampling region
+    "guard": ("length", "sim", "guard"),                # interior-cell guard depth
+    "tail_tol": ("plain", "sim", "tail_tol"),           # far-field truncation budget
+    "redraw_budget": ("int", "sim", "redraw_budget"),   # rejected-replication budget
+    "rel_tol": ("plain", "quadrature", "rel_tol"),
+    "abs_tol": ("plain", "quadrature", "abs_tol"),
+    "max_subdivisions": ("int", "quadrature", "max_subdivisions"),
+    "pmf_tail_mass": ("plain", "quadrature", "pmf_tail_mass"),  # cell-load tail mass
+    "sweep_key": ("str", "app", "sweep_key"),           # custom sweep parameter
+    "sweep_values": ("list", "app", "sweep_values"),    # custom sweep values
+    "target": ({t: t for t in ("availability", "preamble", "rach", "efficiency")},
+               "app", "target"),                        # custom sweep quantity
 }
 
 _ALIASES = {"l": "l_preambles"}
@@ -183,7 +107,7 @@ class AppConfig:
     channel: ChannelConfig
     quadrature: QuadratureSettings
     sim: SimSettings
-    mode: InterferenceMode
+    mode: InterferenceMode = InterferenceMode.FULL
     sweep_key: str | None = None
     sweep_values: tuple[float, ...] | None = None
     target: str | None = None
@@ -201,7 +125,7 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, value = (part.strip() for part in body.split("=", 1))
         key = _ALIASES.get(key, key)
-        if key not in _FIELD_SPECS:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
@@ -211,103 +135,104 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _convert(raw: dict[str, str]) -> dict[str, object]:
-    values: dict[str, object] = {}
-    for key, text in raw.items():
-        kind, _ = _FIELD_SPECS[key]
-        if kind == "int":
-            values[key] = _parse_int(key, text)
-        elif kind == "bool":
-            values[key] = _parse_bool(key, text)
-        elif kind == "list":
-            values[key] = _parse_float_list(key, text)
-        elif kind == "str":
-            values[key] = text.strip()
-        elif kind.startswith("enum:"):
-            options = kind.split(":", 1)[1].split(",")
-            token = text.strip().lower()
-            if token not in options:
-                raise ConfigError(f"{key}: expected one of {options}, got {text!r}")
-            values[key] = token
-        else:
-            values[key] = _parse_quantity(key, text, kind)
-    return values
+def _finite(key: str, value: float, text: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: {text!r} is not a finite number")
+    return value
+
+
+def _quantity(key: str, text: str, kind: str) -> float:
+    text = text.strip()
+    for unit in (None, *_SUFFIXES):
+        if unit is not None and not text.endswith(unit):
+            continue
+        try:
+            value = float(text if unit is None else text[: -len(unit)])
+        except ValueError:
+            continue
+        if unit is not None and unit not in _UNITS[kind]:
+            raise ConfigError(f"{key}: unit {unit!r} not valid for a {kind} quantity")
+        scale = _UNITS[kind].get(unit, 1.0)
+        _finite(key, value, text)
+        try:  # a finite number can still overflow its unit conversion
+            value = scale(value) if callable(scale) else value * scale
+        except OverflowError:
+            value = math.inf
+        return _finite(key, value, text)
+    raise ConfigError(f"cannot parse quantity {text!r}")
+
+
+def _convert(key: str, text: str, kind: object) -> object:
+    token = text.strip()
+    if isinstance(kind, dict):
+        if token.lower() not in kind:
+            raise ConfigError(f"{key}: expected one of {list(kind)}, got {text!r}")
+        return kind[token.lower()]
+    if kind == "str":
+        return token
+    if kind == "int":
+        try:
+            return int(token)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: expected an integer, got {text!r}") from exc
+    if kind == "bool":
+        if token.lower() in ("true", "yes", "on", "1"):
+            return True
+        if token.lower() in ("false", "no", "off", "0"):
+            return False
+        raise ConfigError(f"{key}: expected a boolean, got {text!r}")
+    if kind == "list":
+        items = [t for t in (piece.strip() for piece in text.split(",")) if t]
+        if not items:
+            raise ConfigError(f"{key}: expected a comma-separated list of numbers")
+        try:
+            numbers = tuple(float(t) for t in items)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: expected numbers, got {text!r}") from exc
+        return tuple(_finite(key, v, text) for v in numbers)
+    return _quantity(key, text, kind)
 
 
 def build_config(raw: dict[str, str]) -> AppConfig:
-    """Assemble validated layer configs, filling derived defaults."""
-    v = _convert(raw)
+    """Assemble validated layer configs from the keys `raw` sets; the
+    dataclass defaults fill the rest, apart from the derived defaults."""
+    kw: dict[str | None, dict[str, object]] = {
+        layer: {} for layer in ("energy", "channel", "quadrature", "sim", "app", None)}
+    for key, text in raw.items():
+        kind, layer, name = KEYS[key]
+        kw[layer][name] = _convert(key, text, kind)
+    energy_kw, channel_kw, sim_kw, inputs = kw["energy"], kw["channel"], kw["sim"], kw[None]
 
-    p = float(v.get("p", 0.02))
-    a_a = float(v.get("a_a", 0.001))
-    t_r = float(v.get("t_r", 6e-3))
-    t_g = float(v.get("t_g", 31e-3))
-    e0_ra = float(v.get("e0_ra", p * t_r))
-    e0_da = float(v.get("e0_da", DATA_ENERGY_BUDGET_FRACTION * p * t_g))
-    n_t = int(v.get("n_t", 1))
-    m0 = int(v.get("m0", n_t + PLATEAU_HEADROOM))
-    bound = BoundMode.SUCCESS if v.get("bound") == "success" else BoundMode.FAILURE
-    energy = EnergyConfig(
-        mu0=float(v.get("mu0", 0.05)),
-        a_a=a_a,
-        p=p,
-        e0_ra=e0_ra,
-        e0_da=e0_da,
-        m0=m0,
-        n_t=n_t,
-        bound_mode=bound,
-        enforce_standard_repetitions=bool(v.get("standard_repetitions", True)),
-    )
+    p = energy_kw.get("p", EnergyConfig.p)
+    energy_kw.setdefault("e0_ra", p * inputs.get("t_r", PREAMBLE_DURATION_S))
+    energy_kw.setdefault(
+        "e0_da", DATA_ENERGY_BUDGET_FRACTION * p * inputs.get("t_g", DATA_DURATION_S))
+    energy_kw.setdefault("m0", energy_kw.get("n_t", EnergyConfig.n_t) + PLATEAU_HEADROOM)
+    energy = EnergyConfig(**energy_kw)
 
-    if "eta0" in v:
-        eta0 = float(v["eta0"])
+    channel_kw.update(p=energy.p, a_a=energy.a_a)
+    if "eta0" not in channel_kw:
+        channel_kw["eta0"] = availability_bounds(energy)[0].eta0
+    if "bw" in inputs and "sigma2" not in channel_kw:
+        channel_kw["sigma2"] = noise_power_watt(inputs["bw"])
+    if "region" in sim_kw:
+        sim_kw["region"] = Region.from_area(sim_kw["region"])
+
+    return AppConfig(energy=energy, channel=ChannelConfig(**channel_kw),
+                     quadrature=QuadratureSettings(**kw["quadrature"]),
+                     sim=SimSettings(**sim_kw), raw=dict(raw), **kw["app"])
+
+
+def with_value(cfg: AppConfig, key: str, value: float) -> AppConfig:
+    """Rebuild `cfg` with one key set to a number, as if the config file
+    said so; derived defaults recompute.  Integer keys take integral values."""
+    if KEYS[key][0] == "int":
+        if not float(value).is_integer():
+            raise ConfigError(f"{key}: value {value} must be an integer")
+        text = str(int(value))
     else:
-        eta0 = availability_bounds(energy)[0].eta0
-
-    sigma2 = float(v["sigma2"]) if "sigma2" in v else noise_power_watt(float(v.get("bw", 3750.0)))
-    channel = ChannelConfig(
-        alpha=float(v.get("alpha", 4.0)),
-        gamma_th=float(v.get("gamma_th", 100.0)),
-        p=p,
-        sigma2=sigma2,
-        lambda_b=float(v.get("lambda_b", 0.1)),
-        lambda_d=float(v.get("lambda_d", 100.0)),
-        a_a=a_a,
-        eta0=eta0,
-        l_preambles=int(v.get("l_preambles", 48)),
-        epsilon_override=float(v["epsilon"]) if "epsilon" in v else None,
-    )
-
-    quadrature = QuadratureSettings(
-        rel_tol=float(v.get("rel_tol", 1e-8)),
-        abs_tol=float(v.get("abs_tol", 1e-10)),
-        max_subdivisions=int(v.get("max_subdivisions", 200)),
-        pmf_tail_mass=float(v.get("pmf_tail_mass", 1e-8)),
-    )
-
-    region = Region.from_area(float(v["region_area"])) if "region_area" in v else None
-    sim = SimSettings(
-        replications=int(v.get("replications", 10_000)),
-        seed=int(v.get("seed", 0)),
-        region=region,
-        guard=float(v["guard"]) if "guard" in v else None,
-        tail_tol=float(v.get("tail_tol", 5e-4)),
-        redraw_budget=int(v.get("redraw_budget", 1000)),
-    )
-
-    mode = InterferenceMode.INTRA_CELL_ONLY if v.get("mode") == "intra" else InterferenceMode.FULL
-
-    return AppConfig(
-        energy=energy,
-        channel=channel,
-        quadrature=quadrature,
-        sim=sim,
-        mode=mode,
-        sweep_key=v.get("sweep_key"),
-        sweep_values=v.get("sweep_values"),
-        target=v.get("target"),
-        raw=dict(raw),
-    )
+        text = format(float(value), ".17g")
+    return build_config({**cfg.raw, key: text})
 
 
 def load_config(path: str | None) -> AppConfig:
@@ -322,32 +247,28 @@ def load_config(path: str | None) -> AppConfig:
     return build_config(parse_config_text(text))
 
 
+def _render(kind: object, value: object) -> str:
+    if isinstance(kind, dict) or kind in ("int", "str"):
+        return str(getattr(value, "value", value))
+    if kind == "bool":
+        return "on" if value else "off"
+    if kind == "list":
+        return ", ".join(format(v, ".12g") for v in value)
+    if isinstance(value, Region):
+        value = value.area
+    base = [u for u, scale in _UNITS[kind].items() if scale == 1.0]
+    return " ".join([format(value, ".12g")] + base[:1])
+
+
 def describe(cfg: AppConfig) -> str:
-    """Canonical key=value rendering of the resolved configuration."""
-    e, c, s = cfg.energy, cfg.channel, cfg.sim
-    lines = [
-        f"mu0 = {e.mu0:.12g}",
-        f"a_a = {e.a_a:.12g}",
-        f"p = {e.p:.12g} W",
-        f"e0_ra = {e.e0_ra:.12g} J",
-        f"e0_da = {e.e0_da:.12g} J",
-        f"m0 = {e.m0}",
-        f"n_t = {e.n_t}",
-        f"bound = {e.bound_mode.name.lower()}",
-        f"alpha = {c.alpha:.12g}",
-        f"gamma_th = {c.gamma_th:.12g}",
-        f"sigma2 = {c.sigma2:.12g} W",
-        f"lambda_b = {c.lambda_b:.12g} /km2",
-        f"lambda_d = {c.lambda_d:.12g} /km2",
-        f"l_preambles = {c.l_preambles}",
-        f"eta0 = {c.eta0:.12g}",
-        f"mode = {'intra' if cfg.mode is InterferenceMode.INTRA_CELL_ONLY else 'full'}",
-        f"replications = {s.replications}",
-        f"seed = {s.seed}",
-        f"tail_tol = {s.tail_tol:.12g}",
-    ]
-    if c.epsilon_override is not None:
-        lines.append(f"epsilon = {c.epsilon_override:.12g}")
-    if s.region is not None:
-        lines.append(f"region_area = {s.region.area:.12g} km2")
+    """Canonical key = value rendering of every resolved key, in table
+    order; config-only inputs appear through what they derive, and unset
+    optional keys are left out.  The text is itself a valid config file."""
+    lines = []
+    for key, (kind, layer, name) in KEYS.items():
+        if layer is None:
+            continue
+        value = getattr(cfg if layer == "app" else getattr(cfg, layer), name)
+        if value is not None:
+            lines.append(f"{key} = {_render(kind, value)}")
     return "\n".join(lines)

@@ -159,27 +159,19 @@ def neg_B_inverse(mu0: float, nu0: float, capacity: int, exact: bool = False) ->
         raise ConfigError("capacity must be at least 1")
     if not (mu0 > 0.0 and nu0 > 0.0):
         raise ConfigError("rates must be positive")
-    if exact:
-        mu, nu = Fraction(mu0), Fraction(nu0)
-        rho = mu / nu
-        out = np.empty((capacity, capacity), dtype=object)
-    else:
-        nu = nu0
-        rho = mu0 / nu0
-        out = np.empty((capacity, capacity))
-    # Entry (m, n) = (1/nu) * sum_{k=1}^{min(m,n)} rho^(n-k); build the inner
-    # sums once per column and reuse them down the rows.
-    inv_nu = (Fraction(1) / nu) if exact else 1.0 / nu
-    for n in range(1, capacity + 1):
-        # partial[t] = sum_{k=1}^{t} rho^(n-k), t = 1..n
-        acc = rho ** (n - 1)
-        partial = [acc]
-        for k in range(2, n + 1):
-            acc = acc + rho ** (n - k)
-            partial.append(acc)
-        col = n - 1
-        for m in range(1, capacity + 1):
-            out[m - 1, col] = inv_nu * partial[min(m, n) - 1]
+    num = Fraction if exact else float
+    rho, inv_nu = num(mu0) / num(nu0), 1 / num(nu0)
+    # With S_j = sum_{i<j} rho^i, entry (m, n) = rho^max(n-m, 0) S_min(m,n) / nu0:
+    # on and below the diagonal it is the column value S_n / nu0.
+    powers, sums = [num(1)], [num(1)]  # rho^i and S_(i+1), i = 0..capacity-1
+    for _ in range(capacity - 1):
+        powers.append(powers[-1] * rho)
+        sums.append(sums[-1] + powers[-1])
+    column = [s * inv_nu for s in sums]
+    out = np.empty((capacity, capacity), dtype=object if exact else float)
+    for m in range(capacity):
+        out[m, :m + 1] = column[:m + 1]
+        out[m, m + 1:] = [powers[d] * column[m] for d in range(1, capacity - m)]
     return out
 
 

@@ -36,9 +36,18 @@ SYMBOL_GROUPS_PER_REPETITION = 4
 # float64 precision; reject instead of returning noise.
 MAX_ANALYTIC_REPETITIONS = 32
 
-# Thermal noise: -174 dBm/Hz over one 3.75 kHz tone, in watts.
+# One NB-IoT tone, Hz.
 DEFAULT_TONE_BANDWIDTH_HZ = 3750.0
-DEFAULT_NOISE_W = 10.0 ** ((-174.0 + 10.0 * math.log10(DEFAULT_TONE_BANDWIDTH_HZ) - 30.0) / 10.0)
+
+
+def noise_power_watt(bandwidth_hz: float) -> float:
+    """Thermal noise over one tone: -174 dBm/Hz plus 10 log10(BW), in watts."""
+    if not (bandwidth_hz > 0.0):
+        raise ConfigError("bandwidth must be positive")
+    return 10.0 ** ((-174.0 + 10.0 * math.log10(bandwidth_hz) - 30.0) / 10.0)
+
+
+DEFAULT_NOISE_W = noise_power_watt(DEFAULT_TONE_BANDWIDTH_HZ)
 
 
 class InterferenceMode(enum.Enum):

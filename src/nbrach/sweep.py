@@ -22,7 +22,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .config import AppConfig, _FIELD_SPECS, build_config
+from .config import AppConfig, KEYS, with_value
 from .energy import simulate_energy_chain, availability_bounds
 from .errors import ConfigError
 from .rach import preamble_success_prob, rach_success_prob, repetition_efficiency
@@ -58,7 +58,7 @@ class SweepSpec:
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.swept_parameter not in _FIELD_SPECS:
+        if self.swept_parameter not in KEYS:
             raise ConfigError(f"swept parameter {self.swept_parameter!r} is not a configuration key")
         if not self.values:
             raise ConfigError("sweep values must be non-empty")
@@ -191,22 +191,12 @@ def _run(axis: str, values: tuple[float, ...], series: tuple[Series, ...], engin
     return table
 
 
-def _override_text(key: str, value: float) -> str:
-    if _FIELD_SPECS[key][0] != "int":
-        return format(float(value), ".17g")
-    if float(value) != int(value):
-        raise ConfigError(f"{key}: sweep value {value} must be an integer")
-    return str(int(value))
-
-
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Custom sweep: rebuild the configuration at each swept value of one
     key (derived defaults recompute) and evaluate the target."""
 
     def point_for(v: float, _series: Series) -> tuple[AppConfig, int]:
-        raw = dict(spec.config.raw)
-        raw[spec.swept_parameter] = _override_text(spec.swept_parameter, v)
-        point = build_config(raw)
+        point = with_value(spec.config, spec.swept_parameter, v)
         return point, point.energy.n_t
 
     series = (Series(spec.target.value, spec.target, None, {}),)

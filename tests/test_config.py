@@ -9,10 +9,13 @@ from nbrach.config import (
     load_config,
     noise_power_watt,
     parse_config_text,
+    with_value,
 )
 from nbrach.energy import BoundMode
 from nbrach.errors import ConfigError
+from nbrach.quadrature import QuadratureSettings
 from nbrach.rach import InterferenceMode
+from nbrach.simulation import SimSettings
 
 
 def cfg_from(text: str):
@@ -97,6 +100,21 @@ def test_unparseable_quantity():
         cfg_from("mu0 = fast")
 
 
+@pytest.mark.parametrize("text", [
+    "sigma2 = nan",
+    "sigma2 = -inf dBm",
+    "lambda_d = nan",
+    "lambda_d = inf /km2",
+    "guard = nan km",
+    "mu0 = 1e400",
+    "gamma_th = 4000 dB",
+    "sweep_values = 1, inf",
+])
+def test_non_finite_numbers_rejected(text):
+    with pytest.raises(ConfigError, match="finite"):
+        cfg_from(text)
+
+
 def test_bool_and_enum_values():
     c = cfg_from("standard_repetitions = off\nn_t = 3\nmode = intra\nbound = success")
     assert c.energy.n_t == 3
@@ -123,6 +141,12 @@ def test_default_configuration():
     assert c.channel.lambda_d == pytest.approx(100.0)
     assert c.mode is InterferenceMode.FULL
     assert c.sweep_key is None
+
+
+def test_unset_layers_take_dataclass_defaults():
+    c = load_config(None)
+    assert c.quadrature == QuadratureSettings()
+    assert c.sim == SimSettings()
 
 
 def test_derived_defaults_follow_inputs():
@@ -158,6 +182,15 @@ def test_sim_fields():
     assert c.sim.seed == 9
     assert c.sim.region.area == pytest.approx(400.0)
     assert c.sim.guard == 0.5
+
+
+def test_with_value_rebuilds_derived_defaults():
+    base = cfg_from("lambda_b = 1\nmu0 = 0.1")
+    c = with_value(base, "n_t", 8.0)
+    assert (c.energy.n_t, c.energy.m0, c.energy.mu0) == (8, 168, 0.1)
+    assert with_value(base, "lambda_d", 0.1).channel.lambda_d == 0.1
+    with pytest.raises(ConfigError, match="integer"):
+        with_value(base, "n_t", 2.5)
 
 
 def test_invalid_downstream_value_is_config_error():
@@ -199,3 +232,17 @@ def test_describe_is_canonical():
         if line.split(" =")[0] in ("gamma_th", "lambda_b", "n_t", "mu0")))
     assert reparsed.channel.gamma_th == c.channel.gamma_th
     assert reparsed.channel.lambda_b == c.channel.lambda_b
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "standard_repetitions = off\nn_t = 3",
+    "bound = success",
+    "region_area = 400 km2\nlambda_b = 1",
+    "epsilon = 1.1\nbw = 4 kHz",
+    "guard = 0.5 km\nmode = intra\nsweep_values = 1, 2\ntarget = rach",
+])
+def test_describe_is_a_fixed_point(text):
+    # every resolved key is rendered, so the rendering reads back to itself
+    once = describe(cfg_from(text))
+    assert describe(cfg_from(once)) == once

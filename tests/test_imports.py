@@ -1,0 +1,17 @@
+"""Module boundaries: no module imports another module's private names."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nbrach"
+
+
+def test_no_private_cross_module_imports():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                offenders += [f"{path.name}: from {'.' * node.level}{node.module or ''} "
+                              f"import {alias.name}"
+                              for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []

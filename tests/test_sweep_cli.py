@@ -253,6 +253,14 @@ def test_cli_config_error_exit(tmp_path, capsys):
     assert "alpha" in err
 
 
+def test_cli_non_finite_sweep_value_exit(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "sweep_key = n_t\nsweep_values = 1, inf\ntarget = rach\n")
+    assert main(["sweep", "--config", cfg, "--preset", "custom"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_numeric_error_exit(tmp_path, capsys):
     # near-boundary path-loss exponent with a starved quadrature budget
     cfg = write_cfg(tmp_path, "alpha = 2.005\nmax_subdivisions = 10\n"
