@@ -193,13 +193,19 @@ def _convert(key: str, text: str, kind: object) -> object:
     return _quantity(key, text, kind)
 
 
+def _spec(key: str) -> tuple[object, str | None, str]:
+    if key not in KEYS:
+        raise ConfigError(f"unknown configuration key {key!r}")
+    return KEYS[key]
+
+
 def build_config(raw: dict[str, str]) -> AppConfig:
     """Assemble validated layer configs from the keys `raw` sets; the
     dataclass defaults fill the rest, apart from the derived defaults."""
     kw: dict[str | None, dict[str, object]] = {
         layer: {} for layer in ("energy", "channel", "quadrature", "sim", "app", None)}
     for key, text in raw.items():
-        kind, layer, name = KEYS[key]
+        kind, layer, name = _spec(key)
         kw[layer][name] = _convert(key, text, kind)
     energy_kw, channel_kw, sim_kw, inputs = kw["energy"], kw["channel"], kw["sim"], kw[None]
 
@@ -226,7 +232,7 @@ def build_config(raw: dict[str, str]) -> AppConfig:
 def with_value(cfg: AppConfig, key: str, value: float) -> AppConfig:
     """Rebuild `cfg` with one key set to a number, as if the config file
     said so; derived defaults recompute.  Integer keys take integral values."""
-    if KEYS[key][0] == "int":
+    if _spec(key)[0] == "int":
         if not float(value).is_integer():
             raise ConfigError(f"{key}: value {value} must be an integer")
         text = str(int(value))

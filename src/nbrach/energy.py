@@ -10,6 +10,13 @@ fraction of time spent ON is the energy availability.
 Two depletion regimes bound the truth: every attempt failing (preamble
 energy only, the faster drain per stored quantum) and every attempt
 succeeding (preamble plus data grant energy per quantum).
+
+The availability comes in closed form from the ON-phase hitting time and
+is checked against a simulation of whole ON/OFF cycles.  Each cycle starts
+ON at n_t quanta, so cycles are iid: an ON phase is a +-1 walk capped at
+m0 by the Skorokhod map and ended at its first zero, walked for many
+phases at once in NumPy; phase durations are Gamma draws with the phase's
+step count as shape.  A fixed budget of transitions cuts the run.
 """
 
 from __future__ import annotations
@@ -29,6 +36,11 @@ STANDARD_REPETITIONS = (1, 2, 4, 8, 16, 32, 64, 128)
 # Below this |mu0/nu0 - 1| the closed form loses too many digits and the
 # hitting times come from the banded linear solve instead.
 RATE_RATIO_SINGULAR_BAND = 1e-6
+
+# Most (phases x steps) elements the DES walks in one chunk.
+DES_CHUNK_ELEMENTS = 1 << 18
+# Rows per DES batch, as a multiple of the expected cycles left in the budget.
+DES_ROW_MARGIN = 1.1
 
 
 class BoundMode(enum.Enum):
@@ -95,7 +107,7 @@ class AvailabilityResult:
 
 @dataclass(frozen=True)
 class ChainEstimate:
-    """Empirical availability from an event-driven run of the chain."""
+    """Empirical availability from a simulated run of the chain."""
 
     eta_hat: float
     se: float
@@ -253,87 +265,115 @@ def availability_bounds(cfg: EnergyConfig) -> tuple[AvailabilityResult, Availabi
     return lower, upper
 
 
+def _on_phase_lengths(rng: np.random.Generator, p_up: float, m0: int, n_t: int,
+                      rows: int, budget: int) -> tuple[np.ndarray, bool]:
+    """Step counts of up to `rows` consecutive ON phases, each followed by an
+    n_t-step OFF phase, walked side by side until the phases that fit in
+    `budget` transitions are known.
+
+    Row i starts once the rows before it and their OFF phases are done, so
+    a row whose earliest possible start already lies at or past the budget
+    is dropped, and an unfinished row whose walk already reaches the budget
+    stops there: it is the phase the budget cuts.  Returns the lengths in
+    order and whether the last one finished (every earlier one did).
+    """
+    length = np.zeros(rows, dtype=np.int64)
+    done = np.zeros(rows, dtype=bool)
+    level = np.full(rows, n_t, dtype=np.int32)
+    walking = np.arange(rows)
+    age = 0  # steps walked by every row still walking
+    need = budget  # most steps any walking row can still use
+    while walking.size:
+        width = min(max(age, n_t), DES_CHUNK_ELEMENTS // walking.size, need)
+        # level after k steps of the free walk: start + 2 (ups so far) - k
+        z = np.cumsum(rng.random((walking.size, width)) < p_up, axis=1, dtype=np.int32)
+        z *= 2
+        z -= np.arange(1, width + 1, dtype=np.int32)
+        z += level[walking, None]
+        if level[walking].max() + width > m0:
+            # cap at m0 by the Skorokhod map L = Z - max(0, cummax(Z - m0))
+            over = np.maximum.accumulate(z, axis=1)
+            over -= m0
+            np.maximum(over, 0, out=over)
+            z -= over
+        hit = z == 0
+        first = hit.argmax(axis=1)
+        ended = hit[np.arange(walking.size), first]
+        length[walking] += np.where(ended, first + 1, width)
+        done[walking[ended]] = True
+        level[walking] = z[:, -1]
+        age += width
+
+        start = np.cumsum(length + n_t) - (length + n_t)  # earliest start per row
+        keep = int(np.searchsorted(start, budget))
+        length, done, level, start = length[:keep], done[:keep], level[:keep], start[:keep]
+        left = budget - start - length
+        walking = np.nonzero(~done & (left > 0))[0]
+        if walking.size:
+            need = int(left[walking].max())
+    return length, bool(done[-1])
+
+
 def simulate_energy_chain(cfg: EnergyConfig, num_transitions: int = 1_000_000,
                           seed: int = 0) -> ChainEstimate:
-    """Event-driven run of the ON/OFF battery chain.
+    """Renewal simulation of the ON/OFF battery chain over whole cycles.
 
     Counts num_transitions applied events (harvest arrivals, including
-    saturated ones at full battery, and depletions).  Returns the empirical
-    availability with a regenerative standard error estimated from the
-    completed ON/OFF cycles.  Deterministic for a fixed seed.
+    saturated ones at full battery, and depletions).  Every cycle starts ON
+    at level n_t, so cycles are iid.  An ON phase is a +-1 walk with
+    P(+1) = mu0/(mu0+nu0), capped at m0 by the Skorokhod map and ended at
+    its first zero; k steps of it last Gamma(k)/(mu0+nu0).  An OFF phase is
+    exactly n_t harvests lasting Gamma(n_t)/mu0.  The phase the budget cuts
+    adds its partial time to the point estimate but is not a cycle; the
+    regenerative standard error comes from the completed (ON, OFF) pairs.
+    Deterministic for a fixed seed.
     """
     if num_transitions < 1:
         raise ConfigError("num_transitions must be positive")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE4E26)))
     mu = cfg.mu0
     nu = depletion_rate(cfg)
-    m0 = cfg.m0
     n_t = cfg.n_t
-    p_harvest = mu / (mu + nu)
-    inv_total = 1.0 / (mu + nu)
-    inv_mu = 1.0 / mu
+    # expected cycle length in transitions sizes each batch of ON phases
+    cycle_steps = mean_on_time(mu, nu, cfg.m0, n_t) * (mu + nu) + n_t
 
-    level = n_t
-    on = True
-    t_on_total = 0.0
-    t_off_total = 0.0
-    cycle_on: list[float] = []
-    cycle_off: list[float] = []
-    phase_elapsed = 0.0
+    batches = []
+    used = 0
+    while used < num_transitions:
+        left = num_transitions - used
+        rows = max(1, min(DES_CHUNK_ELEMENTS // n_t,
+                          math.ceil(DES_ROW_MARGIN * left / cycle_steps)))
+        lengths, finished = _on_phase_lengths(rng, mu / (mu + nu), cfg.m0, n_t, rows, left)
+        batches.append(lengths)
+        used += int(lengths.sum()) + n_t * lengths.size
 
-    block = 1 << 14
-    exp_draws = rng.exponential(size=block)
-    uni_draws = rng.random(size=block)
-    ei = ui = 0
+    on = np.concatenate(batches)
+    on_end = np.cumsum(on + n_t) - n_t  # transitions elapsed when each ON phase ends
+    n_on = int(np.searchsorted(on_end, num_transitions, side="right"))
+    if not finished and n_on == on.size:
+        n_on -= 1  # the last phase reached the budget without emptying
+    n_off = int(np.searchsorted(on_end + n_t, num_transitions, side="right"))
+    x = rng.gamma(on[:n_on]) / (mu + nu)
+    y = rng.gamma(n_t, size=n_off) / mu
 
-    for _ in range(num_transitions):
-        if ei == block:
-            exp_draws = rng.exponential(size=block)
-            ei = 0
-        e = exp_draws[ei]
-        ei += 1
-        if on:
-            phase_elapsed += e * inv_total
-            if ui == block:
-                uni_draws = rng.random(size=block)
-                ui = 0
-            harvest = uni_draws[ui] < p_harvest
-            ui += 1
-            if harvest:
-                if level < m0:
-                    level += 1
-            else:
-                level -= 1
-                if level == 0:
-                    on = False
-                    t_on_total += phase_elapsed
-                    cycle_on.append(phase_elapsed)
-                    phase_elapsed = 0.0
-        else:
-            phase_elapsed += e * inv_mu
-            level += 1
-            if level == n_t:
-                on = True
-                t_off_total += phase_elapsed
-                cycle_off.append(phase_elapsed)
-                phase_elapsed = 0.0
-
-    # fold the unfinished phase into the totals for the point estimate
-    if on:
-        t_on_total += phase_elapsed
+    # the phase in progress when the budget runs out takes the steps left
+    t_on_total, t_off_total = x.sum(), y.sum()
+    transitions = int(on[:n_on].sum()) + n_t * n_off
+    if n_on > n_off:
+        steps = num_transitions - int(on_end[n_on - 1])
+        t_off_total += rng.gamma(steps) / mu
     else:
-        t_off_total += phase_elapsed
-    total = t_on_total + t_off_total
-    eta_hat = t_on_total / total if total > 0.0 else 0.0
+        steps = num_transitions - int(on_end[n_on] - on[n_on]) if n_on < on.size else 0
+        t_on_total += rng.gamma(steps) / (mu + nu)
+    transitions += steps
+    eta_hat = t_on_total / (t_on_total + t_off_total)
 
-    n_cycles = min(len(cycle_on), len(cycle_off))
-    if n_cycles >= 2:
-        x = np.asarray(cycle_on[:n_cycles])
-        y = np.asarray(cycle_off[:n_cycles])
+    if n_off >= 2:
+        x = x[:n_off]
         h = x.sum() / (x.sum() + y.sum())
         z = (1.0 - h) * x - h * y
-        se = float(np.std(z, ddof=1) / ((x.mean() + y.mean()) * math.sqrt(n_cycles)))
+        se = float(np.std(z, ddof=1) / ((x.mean() + y.mean()) * math.sqrt(n_off)))
     else:
         se = math.inf
     return ChainEstimate(eta_hat=float(eta_hat), se=se,
-                         transitions=num_transitions, cycles=n_cycles, seed=seed)
+                         transitions=transitions, cycles=n_off, seed=seed)

@@ -124,7 +124,10 @@ def _estimate(successes: int, trials: int, seed: int) -> RachEstimate:
 def _disc_points(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     r = radius * np.sqrt(rng.random(n))
     theta = 2.0 * math.pi * rng.random(n)
-    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    pts = np.empty((n, 2))
+    pts[:, 0] = r * np.cos(theta)
+    pts[:, 1] = r * np.sin(theta)
+    return pts
 
 
 def sample_ppp(intensity: float, region: Region, rng: np.random.Generator) -> np.ndarray:
@@ -153,10 +156,11 @@ def contention_outcome(dist: np.ndarray, same_cell: np.ndarray, tagged: int,
 
     `dist` holds every same-preamble active device's distance to the
     tagged device's serving station and `same_cell` marks the devices that
-    station serves.  Interference comes from every device (FULL) or only
-    the same-cell ones (INTRA_CELL_ONLY); a collision is any other same-cell
-    device whose own transmission also succeeds at the shared station.
-    Random access succeeds on transmission without collision.
+    station serves, the tagged one included.  Interference comes from every
+    device (FULL) or only the same-cell ones (INTRA_CELL_ONLY); a collision
+    is any other same-cell device whose own transmission also succeeds at
+    the shared station.  Random access succeeds on transmission without
+    collision.
 
     One fading block of shape (devices, repetitions, 4) is drawn for the
     whole trial, so the tagged evaluation and every contender evaluation
@@ -168,24 +172,19 @@ def contention_outcome(dist: np.ndarray, same_cell: np.ndarray, tagged: int,
 
     if mode is InterferenceMode.FULL:
         pool = contrib.sum(axis=0)
-        eligible = np.ones(dist.shape[0], dtype=bool)
     elif mode is InterferenceMode.INTRA_CELL_ONLY:
         pool = contrib[same_cell].sum(axis=0)
-        eligible = same_cell
     else:
         raise ConfigError("mode must be an InterferenceMode")
 
-    def succeeds(idx: int) -> bool:
-        own = contrib[idx]
-        interference = np.maximum(pool - own, 0.0) if eligible[idx] else pool
-        denom = interference + cfg.sigma2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sinr = np.where(denom > 0.0, own / np.maximum(denom, 1e-300), np.inf)
-        return bool(np.any(np.all(sinr >= cfg.gamma_th, axis=1)))
-
-    transmission = succeeds(tagged)
-    collision = any(succeeds(int(idx)) for idx in np.nonzero(same_cell)[0] if idx != tagged)
-    return transmission, collision
+    # every same-cell device's own signal is in the pool under either mode
+    cell = np.flatnonzero(same_cell)
+    own = contrib[cell]
+    denom = np.maximum(pool - own, 0.0) + cfg.sigma2
+    sinr = np.divide(own, denom, out=np.full_like(own, np.inf), where=denom > 0.0)
+    ok = (sinr >= cfg.gamma_th).all(axis=2).any(axis=1)
+    is_tagged = cell == tagged
+    return bool(ok[is_tagged].any()), bool(ok[~is_tagged].any())
 
 
 def interference_horizon(cfg: ChannelConfig, n_t: int, tail_tol: float) -> float:
@@ -237,7 +236,8 @@ def _origin_sampler(cfg: ChannelConfig, n_t: int, tail_tol: float) -> tuple[_Sam
             return None
         enbs = _disc_points(n_b, r_enb, rng)
         n_i = int(rng.poisson(mean_int)) if mean_int > 0.0 else 0
-        devices = np.vstack((np.zeros((1, 2)), _disc_points(n_i, r_int, rng)))
+        devices = np.zeros((n_i + 1, 2))  # the tagged device at the origin first
+        devices[1:] = _disc_points(n_i, r_int, rng)
         serve = int(np.argmin(np.hypot(enbs[:, 0], enbs[:, 1])))
         dist = np.hypot(*(devices - enbs[serve]).T)
         # exact membership test only where same-cell is not already impossible

@@ -118,7 +118,7 @@ def test_criterion_3_chain_vs_des():
     secs = time.perf_counter() - t0
     report(3, "availability theory vs event simulation", ok,
            f"12 configurations, worst gap at {worst_ratio:.2f}x its tolerance"
-           + ("; " + "; ".join(detail) if detail else ""), secs, 60.0)
+           + ("; " + "; ".join(detail) if detail else ""), secs, 15.0)
 
 
 def test_criterion_4_availability_plateaus():

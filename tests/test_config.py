@@ -193,6 +193,14 @@ def test_with_value_rebuilds_derived_defaults():
         with_value(base, "n_t", 2.5)
 
 
+def test_unknown_key_outside_parsing_is_config_error():
+    # aliases resolve only in parse_config_text; the API takes table keys
+    with pytest.raises(ConfigError, match="'l'"):
+        build_config({"l": "64"})
+    with pytest.raises(ConfigError, match="'bogus'"):
+        with_value(cfg_from(""), "bogus", 1.0)
+
+
 def test_invalid_downstream_value_is_config_error():
     with pytest.raises(ConfigError):
         cfg_from("alpha = 1.5")

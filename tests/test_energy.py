@@ -1,7 +1,8 @@
 """Tests for the battery birth-death chain: matrix identities, hitting
-times, availability bounds and the event-driven cross-check."""
+times, availability bounds and the cycle-level simulation."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -230,6 +231,76 @@ def test_chain_matches_theory():
     theory = energy_availability(cfg).eta0
     assert est.cycles > 50
     assert abs(est.eta_hat - theory) <= max(3.0 * est.se, 0.01 * theory)
+
+
+@pytest.mark.parametrize("budget", [1, 4, 5, 1_000_000])
+def test_chain_spends_exact_budget(budget):
+    # n_t = 4: budgets 1 and 4 end within the first ON phase, 5 one step past
+    # its earliest possible end; every cycle takes at least 2 n_t events
+    cfg = EnergyConfig(n_t=4, m0=14)
+    est = simulate_energy_chain(cfg, num_transitions=budget, seed=2)
+    assert est.transitions == budget
+    assert est.cycles <= budget // (2 * cfg.n_t)
+    if budget < 2 * cfg.n_t:
+        assert est.cycles == 0 and est.se == math.inf
+    if budget == 1:
+        assert est.eta_hat == 1.0
+
+
+@pytest.mark.parametrize("mu0", [0.5, 0.2])
+def test_chain_harvest_outpaces_drain(mu0):
+    # rho = mu0/nu0 > 1: at the default seed the first ON phase never
+    # empties, so the whole budget is one cut ON phase
+    t0 = time.perf_counter()
+    est = simulate_energy_chain(EnergyConfig(mu0=mu0), num_transitions=1_000_000)
+    assert time.perf_counter() - t0 < 5.0
+    assert (est.eta_hat, est.cycles, est.se) == (1.0, 0, math.inf)
+    assert est.transitions == 1_000_000
+
+
+@pytest.mark.parametrize("cfg", [EnergyConfig(mu0=0.15), EnergyConfig(n_t=16, m0=16),
+                                 EnergyConfig(n_t=128, m0=128)],
+                         ids=["near-critical", "capped-16", "capped-128"])
+def test_chain_matches_theory_hard_regimes(cfg):
+    # rho = 0.9 gives long ON phases; m0 = n_t caps every step up from the start
+    est = simulate_energy_chain(cfg, num_transitions=1_000_000)
+    assert abs(est.eta_hat - energy_availability(cfg).eta0) <= 3.0 * est.se
+
+
+def _event_loop_chain(cfg, budget, rng):
+    """(eta_hat, cycles) of the chain read literally, one event per step."""
+    mu, nu = cfg.mu0, depletion_rate(cfg)
+    level, on, t_on, t_off, cycles = cfg.n_t, True, 0.0, 0.0, 0
+    for _ in range(budget):
+        if on:
+            t_on += rng.exponential() / (mu + nu)
+            if rng.random() < mu / (mu + nu):
+                level = min(level + 1, cfg.m0)
+            else:
+                level -= 1
+                on = level > 0
+        else:
+            t_off += rng.exponential() / mu
+            level += 1
+            if level == cfg.n_t:
+                on, cycles = True, cycles + 1
+    return t_on / (t_on + t_off), cycles
+
+
+@pytest.mark.parametrize("mu0,n_t,m0,budget", [(0.15, 2, 4, 300), (0.05, 4, 4, 10),
+                                               (0.3, 1, 3, 300)])
+def test_chain_matches_event_loop_in_law(mu0, n_t, m0, budget):
+    # short budgets make the cut phase matter (budget 10 cuts an ON or OFF
+    # phase in most runs); means of eta_hat and cycles over independent
+    # runs agree within 4 combined standard errors
+    cfg = EnergyConfig(mu0=mu0, n_t=n_t, m0=m0, enforce_standard_repetitions=False)
+    runs = 400
+    rng = np.random.default_rng(31)
+    ref = np.array([_event_loop_chain(cfg, budget, rng) for _ in range(runs)])
+    sim = np.array([(e.eta_hat, e.cycles) for e in
+                    (simulate_energy_chain(cfg, budget, seed) for seed in range(runs))])
+    se = np.sqrt((ref.var(axis=0, ddof=1) + sim.var(axis=0, ddof=1)) / runs)
+    assert np.all(np.abs(ref.mean(axis=0) - sim.mean(axis=0)) <= 4.0 * se)
 
 
 def test_chain_validation():

@@ -1,6 +1,8 @@
 """Tests for the Monte Carlo contention estimator: point processes,
 per-trial contention logic and agreement with the analytics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,11 +76,16 @@ def test_associate_nearest_requires_station():
 
 
 def test_lone_device_succeeds():
-    # thermal noise is ~16 orders below the received power here
-    trans, coll = contention_outcome(np.array([0.1]), np.array([True]), 0,
-                                     ChannelConfig(lambda_b=1.0, lambda_d=0.0), 1,
-                                     InterferenceMode.FULL, np.random.default_rng(0))
-    assert trans and not coll
+    # thermal noise is ~16 orders below the received power here; without
+    # noise the SINR is infinite, and that must not warn
+    for sigma2 in (None, 0.0):
+        cfg = ChannelConfig(lambda_b=1.0, lambda_d=0.0,
+                            **({} if sigma2 is None else {"sigma2": sigma2}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trans, coll = contention_outcome(np.array([0.1]), np.array([True]), 0, cfg, 1,
+                                             InterferenceMode.FULL, np.random.default_rng(0))
+        assert trans and not coll
 
 
 def test_colocated_mutual_exclusion_at_high_threshold():
