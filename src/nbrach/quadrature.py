@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConfigError, QuadratureError
 
@@ -44,6 +43,8 @@ def improper_integral(func, lower: float, upper: float,
     Returns (value, error_estimate).  Raises QuadratureError with the best
     estimate attached when the adaptive scheme cannot meet the tolerance.
     """
+    from scipy import integrate  # imported on use: scipy dominates start-up
+
     q = settings or QuadratureSettings()
     if not np.isfinite(lower):
         raise ConfigError("lower integration limit must be finite")

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigError, NumericError
 from .quadrature import QuadratureSettings, improper_integral
@@ -288,6 +287,8 @@ def cell_load_pmf(n, lambda_da: float, lambda_b: float):
     """Distribution of how many other same-preamble transmitters share the
     serving cell: negative binomial from the gamma cell-area law, evaluated
     in the log-gamma domain.  Vectorises over n."""
+    from scipy.special import gammaln  # imported on use: scipy dominates start-up
+
     if lambda_b <= 0.0:
         raise ConfigError("lambda_b must be positive")
     if lambda_da < 0.0:

@@ -1,6 +1,9 @@
 """Module boundaries: no module imports another module's private names."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nbrach"
@@ -15,3 +18,14 @@ def test_no_private_cross_module_imports():
                               f"import {alias.name}"
                               for alias in node.names if alias.name.startswith("_")]
     assert offenders == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported where a quadrature or log-gamma is evaluated, so a
+    # launch that needs neither does not pay for it
+    code = "import sys, nbrach.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
