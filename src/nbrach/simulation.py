@@ -16,18 +16,25 @@ interval.  Passing an explicit Region instead samples the tagged
 position uniformly over a finite disc with an interior-cell guard, the
 construction whose edge bias the guard-sanity tests exercise.
 
-Each construction is only a geometry sampler: it turns one attempt's
-generator into the tagged station's distances and same-cell mask, or
-rejects the attempt.  simulate_summary owns the single replication loop
-(per-attempt seeding, redraw budget, tallies) and scores every accepted
-attempt with contention_outcome, the one per-trial scorer.
+Each construction is only a geometry sampler, in two steps: `draw`
+makes one attempt's raw draws (Poisson counts, disc uniforms) from its
+generator, and `place` turns a chunk of them into the tagged stations'
+distances and same-cell masks, or rejects attempts.  simulate_summary
+owns the single replication loop (per-attempt seeding, redraw budget,
+tallies) and runs it in chunks of attempts.  Attempt k still draws from
+its own stream SeedSequence((seed, k)), geometry first and fading last,
+in the order of a one-trial-at-a-time loop.  All that follows the draws
+(Cartesian positions, serving-station search, cell membership, pool sums,
+SINR) runs once per chunk on arrays padded to the chunk's widest attempt,
+and contention_outcome, the one scorer, scores a whole chunk in one pass.
+Pools add a trial's devices in the order a one-trial sum does, so the
+chunking never changes a result or a CSV byte.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -41,6 +48,13 @@ _WINDOW_LOG_MISS = 50.0
 _CELL_CHECK_RADII = 5.0
 
 _NORMAL_95 = 1.96
+
+# 8-byte values the arrays of one chunk of attempts may hold at once; it
+# bounds working memory and never changes a result
+_CHUNK_ELEMENTS = 1 << 19
+# values' worth of memory an attempt holds besides its arrays: its
+# generator and the headers of its draws
+_ATTEMPT_OVERHEAD = 128
 
 
 @dataclass(frozen=True)
@@ -121,13 +135,39 @@ def _estimate(successes: int, trials: int, seed: int) -> RachEstimate:
     return RachEstimate(p_hat=p, ci_halfwidth=hw, trials=trials, seed=seed)
 
 
+def _polar(radius: float, uniforms: list[np.ndarray],
+           skip: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Place each attempt's (2, n) uniforms, radial row first, uniformly
+    on the disc as one row of (attempts, skip + widest) radius and angle
+    arrays, from column `skip` on.  Padding sits at infinite radius: it is
+    never nearest and carries no power."""
+    counts = np.array([u.shape[1] for u in uniforms]) + skip
+    cols = np.arange(counts.max())
+    real = (cols >= skip) & (cols < counts[:, None])
+    u = np.concatenate(uniforms, axis=1)
+    r = np.full(real.shape, np.inf)
+    theta = np.zeros(real.shape)
+    r[real] = radius * np.sqrt(u[0])
+    theta[real] = 2.0 * math.pi * u[1]
+    return r, theta
+
+
+def _cartesian(r: np.ndarray, theta: np.ndarray,
+               where: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the polar points selected by `where`, by default every
+    finite one; the others stay at infinity."""
+    if where is None:
+        where = np.isfinite(r)
+    x = np.full(r.shape, np.inf)
+    y = np.full(r.shape, np.inf)
+    x[where] = r[where] * np.cos(theta[where])
+    y[where] = r[where] * np.sin(theta[where])
+    return x, y
+
+
 def _disc_points(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    r = radius * np.sqrt(rng.random(n))
-    theta = 2.0 * math.pi * rng.random(n)
-    pts = np.empty((n, 2))
-    pts[:, 0] = r * np.cos(theta)
-    pts[:, 1] = r * np.sin(theta)
-    return pts
+    x, y = _cartesian(*_polar(radius, [rng.random((2, n))]))
+    return np.column_stack((x[0], y[0]))
 
 
 def sample_ppp(intensity: float, region: Region, rng: np.random.Generator) -> np.ndarray:
@@ -139,52 +179,64 @@ def sample_ppp(intensity: float, region: Region, rng: np.random.Generator) -> np
     return _disc_points(n, region.radius, rng)
 
 
+def _nearest(x: np.ndarray, y: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """Column of the nearest station to each point (x, y), searched over
+    the matching row of sx, sy (or over one shared row); ties go to the
+    lowest column."""
+    dx = x[:, None] - sx
+    dy = y[:, None] - sy
+    return np.argmin(dx * dx + dy * dy, axis=1)
+
+
 def associate_nearest(devices: np.ndarray, enbs: np.ndarray) -> np.ndarray:
     """Index of the nearest station per device, ties to the lowest index."""
     if enbs.shape[0] == 0:
         raise ConfigError("association requires at least one station")
-    if devices.shape[0] == 0:
-        return np.empty(0, dtype=np.intp)
-    diff = devices[:, None, :] - enbs[None, :, :]
-    return np.argmin(np.einsum("ijk,ijk->ij", diff, diff), axis=1)
+    return _nearest(devices[:, 0], devices[:, 1], enbs[:, 0], enbs[:, 1])
 
 
-def contention_outcome(dist: np.ndarray, same_cell: np.ndarray, tagged: int,
-                       cfg: ChannelConfig, n_t: int, mode: InterferenceMode,
-                       rng: np.random.Generator) -> tuple[bool, bool]:
-    """Score one trial as (transmission success, collision).
+def contention_outcome(dist: np.ndarray, same_cell: np.ndarray, cfg: ChannelConfig,
+                       n_t: int, mode: InterferenceMode,
+                       fading: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Score trials as (transmission success, collision), one entry each.
 
-    `dist` holds every same-preamble active device's distance to the
-    tagged device's serving station and `same_cell` marks the devices that
-    station serves, the tagged one included.  Interference comes from every
-    device (FULL) or only the same-cell ones (INTRA_CELL_ONLY); a collision
-    is any other same-cell device whose own transmission also succeeds at
-    the shared station.  Random access succeeds on transmission without
-    collision.
-
-    One fading block of shape (devices, repetitions, 4) is drawn for the
-    whole trial, so the tagged evaluation and every contender evaluation
+    Row t of `dist` holds trial t's same-preamble active devices'
+    distances to the tagged device's serving station, the tagged device
+    first, and `same_cell` marks the devices that station serves, the
+    tagged one always.  Rows are padded to a common width with infinite
+    distances, which carry no power, and False.  A single trial may come
+    as one row.  `fading` holds every device's unit-mean exponential
+    fading per repetition and symbol group, shape dist.shape + (n_t, 4),
+    so the tagged evaluation and every contender evaluation of a trial
     see the same channel realisations.
-    """
-    recv = cfg.p * np.maximum(dist, 1e-12) ** (-cfg.alpha)
-    fading = rng.exponential(size=(dist.shape[0], n_t, 4))
-    contrib = recv[:, None, None] * fading
 
+    Interference comes from every device (FULL) or only the same-cell
+    ones (INTRA_CELL_ONLY); a collision is any other same-cell device whose
+    own transmission also succeeds at the shared station.  Random access
+    succeeds on transmission without collision.  Pools add the devices of
+    a trial in row order, padding last, so a trial scores the same alone
+    or among others.
+    """
+    dist = np.atleast_2d(dist)
+    same_cell = np.atleast_2d(same_cell)
+    contrib = (cfg.p * np.maximum(dist, 1e-12) ** (-cfg.alpha))[..., None, None] \
+        * np.reshape(fading, dist.shape + (n_t, 4))
     if mode is InterferenceMode.FULL:
-        pool = contrib.sum(axis=0)
+        pool = contrib.sum(axis=1)
     elif mode is InterferenceMode.INTRA_CELL_ONLY:
-        pool = contrib[same_cell].sum(axis=0)
+        pool = np.where(same_cell[..., None, None], contrib, 0.0).sum(axis=1)
     else:
         raise ConfigError("mode must be an InterferenceMode")
 
     # every same-cell device's own signal is in the pool under either mode
-    cell = np.flatnonzero(same_cell)
-    own = contrib[cell]
-    denom = np.maximum(pool - own, 0.0) + cfg.sigma2
+    trial, device = np.nonzero(same_cell)
+    own = contrib[trial, device]
+    denom = np.maximum(pool[trial] - own, 0.0) + cfg.sigma2
     sinr = np.divide(own, denom, out=np.full_like(own, np.inf), where=denom > 0.0)
     ok = (sinr >= cfg.gamma_th).all(axis=2).any(axis=1)
-    is_tagged = cell == tagged
-    return bool(ok[is_tagged].any()), bool(ok[~is_tagged].any())
+    collision = np.zeros(dist.shape[0], dtype=bool)
+    collision[trial[ok & (device > 0)]] = True
+    return ok[device == 0], collision
 
 
 def interference_horizon(cfg: ChannelConfig, n_t: int, tail_tol: float) -> float:
@@ -212,71 +264,95 @@ def interference_horizon(cfg: ChannelConfig, n_t: int, tail_tol: float) -> float
     return max(d, floor)
 
 
-# one attempt's geometry: (distances to the serving station, same-cell
-# mask), tagged device first; None rejects the attempt as a redraw
-_Trial = tuple[np.ndarray, np.ndarray]
-_Sampler = Callable[[np.random.Generator], "_Trial | None"]
-
-
-def _origin_sampler(cfg: ChannelConfig, n_t: int, tail_tol: float) -> tuple[_Sampler, str]:
+class _OriginSampler:
     """Typical-point construction: tagged at the origin, stations sampled
     out to where the nearest-station and cell-membership searches are
     exact to exp(-25), interferers out to the interference horizon."""
-    sqrt_plb = math.sqrt(math.pi * cfg.lambda_b)
-    r_assoc = math.sqrt(_WINDOW_LOG_MISS) / sqrt_plb
-    cell_check = _CELL_CHECK_RADII / sqrt_plb
-    r_enb = r_assoc + 2.0 * cell_check + 1.0 / sqrt_plb
-    r_int = interference_horizon(cfg, n_t, tail_tol)
-    mean_enb = cfg.lambda_b * math.pi * r_enb ** 2
-    mean_int = active_density(cfg) * math.pi * r_int ** 2
 
-    def sample(rng: np.random.Generator) -> _Trial | None:
-        n_b = int(rng.poisson(mean_enb))
+    exhausted = "station field too sparse to sample"
+    pair_arrays = 0  # only the few devices near the serving station search
+
+    def __init__(self, cfg: ChannelConfig, n_t: int, tail_tol: float):
+        sqrt_plb = math.sqrt(math.pi * cfg.lambda_b)
+        r_assoc = math.sqrt(_WINDOW_LOG_MISS) / sqrt_plb
+        self.cell_check = _CELL_CHECK_RADII / sqrt_plb
+        self.r_enb = r_assoc + 2.0 * self.cell_check + 1.0 / sqrt_plb
+        self.r_int = interference_horizon(cfg, n_t, tail_tol)
+        self.mean_enb = cfg.lambda_b * math.pi * self.r_enb ** 2
+        self.mean_int = active_density(cfg) * math.pi * self.r_int ** 2
+
+    def draw(self, rng: np.random.Generator):
+        n_b = int(rng.poisson(self.mean_enb))
         if n_b == 0:
             return None
-        enbs = _disc_points(n_b, r_enb, rng)
-        n_i = int(rng.poisson(mean_int)) if mean_int > 0.0 else 0
-        devices = np.zeros((n_i + 1, 2))  # the tagged device at the origin first
-        devices[1:] = _disc_points(n_i, r_int, rng)
-        serve = int(np.argmin(np.hypot(enbs[:, 0], enbs[:, 1])))
-        dist = np.hypot(*(devices - enbs[serve]).T)
+        stations = rng.random((2, n_b))
+        n_i = int(rng.poisson(self.mean_int)) if self.mean_int > 0.0 else 0
+        return stations, rng.random((2, n_i))
+
+    def place(self, draws):
+        r, theta = _polar(self.r_enb, [d[0] for d in draws])
+        # the serving station is the nearest by x, y, whose distance from
+        # the origin is within a few ulp of the radius; so only stations
+        # within 1e-9 of the smallest radius need x, y here
+        sx, sy = _cartesian(r, theta, r <= r.min(axis=1, keepdims=True) * (1.0 + 1e-9))
+        serve = np.argmin(np.hypot(sx, sy), axis=1)
+        rows = np.arange(len(draws))
+        px, py = _cartesian(*_polar(self.r_int, [d[1] for d in draws], skip=1))
+        px[:, 0] = py[:, 0] = 0.0  # the tagged device
+        dist = np.hypot(px - sx[rows, serve][:, None], py - sy[rows, serve][:, None])
         # exact membership test only where same-cell is not already impossible
-        same_cell = np.zeros(devices.shape[0], dtype=bool)
-        same_cell[0] = True
-        near = np.nonzero(dist[1:] <= cell_check)[0] + 1
-        if near.size:
-            same_cell[near] = associate_nearest(devices[near], enbs) == serve
-        return dist, same_cell
-
-    return sample, "station field too sparse to sample"
+        same_cell = np.zeros(dist.shape, dtype=bool)
+        same_cell[:, 0] = True
+        t, d = np.nonzero(dist[:, 1:] <= self.cell_check)
+        d += 1
+        same_cell[t, d] = _nearest(px[t, d], py[t, d], *_cartesian(r[t], theta[t])) == serve[t]
+        return np.ones(len(draws), dtype=bool), dist, same_cell
 
 
-def _window_sampler(cfg: ChannelConfig, settings: SimSettings) -> tuple[_Sampler, str]:
+class _WindowSampler:
     """Finite-window construction: tagged position uniform over the disc,
     accepted only when its serving station sits at least `guard` inside
     the boundary; station and interferer fields cover the disc only, so
     the estimate carries the documented edge bias."""
-    region = settings.region
-    lam_da = active_density(cfg)
-    guard = settings.guard
-    if guard is None:
-        guard = 2.0 / math.sqrt(math.pi * cfg.lambda_b)
-    if guard >= region.radius:
-        raise ConfigError("guard depth leaves no interior: enlarge the region")
 
-    def sample(rng: np.random.Generator) -> _Trial | None:
-        enbs = sample_ppp(cfg.lambda_b, region, rng)
-        if enbs.shape[0] == 0:
-            return None
-        pts = sample_ppp(lam_da, region, rng)
-        devices = np.vstack((_disc_points(1, region.radius, rng), pts))
-        assoc = associate_nearest(devices, enbs)
-        serve = int(assoc[0])
-        if math.hypot(*enbs[serve]) > region.radius - guard:
-            return None
-        return np.hypot(*(devices - enbs[serve]).T), assoc == serve
+    exhausted = "no interior tagged cell found"
+    pair_arrays = 5  # every device searches every station
 
-    return sample, "no interior tagged cell found"
+    def __init__(self, cfg: ChannelConfig, settings: SimSettings):
+        region = settings.region
+        guard = settings.guard
+        if guard is None:
+            guard = 2.0 / math.sqrt(math.pi * cfg.lambda_b)
+        if guard >= region.radius:
+            raise ConfigError("guard depth leaves no interior: enlarge the region")
+        self.radius = region.radius
+        self.interior = region.radius - guard
+        self.mean_enb = cfg.lambda_b * region.area
+        self.mean_int = active_density(cfg) * region.area
+
+    def draw(self, rng: np.random.Generator):
+        n_b = int(rng.poisson(self.mean_enb))
+        if n_b == 0:
+            return None
+        stations = rng.random((2, n_b))
+        n_i = int(rng.poisson(self.mean_int)) if self.mean_int > 0.0 else 0
+        return stations, rng.random((2, n_i)), rng.random((2, 1))
+
+    def place(self, draws):
+        sx, sy = _cartesian(*_polar(self.radius, [d[0] for d in draws]))
+        px, py = _cartesian(*_polar(self.radius, [d[1] for d in draws], skip=1))
+        tagged = _cartesian(*_polar(self.radius, [d[2] for d in draws]))
+        px[:, 0], py[:, 0] = tagged[0][:, 0], tagged[1][:, 0]
+        t, d = np.nonzero(np.isfinite(px))
+        assoc = np.full(px.shape, -1)
+        assoc[t, d] = _nearest(px[t, d], py[t, d], sx[t], sy[t])
+        rows = np.arange(len(draws))
+        serve = assoc[:, 0]
+        ex, ey = sx[rows, serve], sy[rows, serve]
+        inside = np.array([math.hypot(x, y) <= self.interior
+                           for x, y in zip(ex.tolist(), ey.tolist())])
+        dist = np.hypot(px - ex[:, None], py - ey[:, None])
+        return inside, dist, assoc == serve[:, None]
 
 
 def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = InterferenceMode.FULL,
@@ -286,32 +362,80 @@ def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = Inte
 
     Attempt k draws from its own stream SeedSequence((seed, k)); an
     attempt whose geometry is rejected counts as a redraw and is skipped.
+    Attempts run in chunks whose arrays hold about _CHUNK_ELEMENTS values:
+    the raw draws are made one attempt at a time, all that follows them
+    once per chunk.  Each attempt's values depend on its stream alone,
+    attempts drawn past the last one the run needs are discarded, and the
+    redraw budget counts only the attempts before it, so no result
+    depends on where chunks end.
     """
     settings = settings or SimSettings()
     if int(n_t) != n_t or n_t < 1:
         raise ConfigError("n_t must be a positive integer")
     n_t = int(n_t)
     if settings.region is None:
-        sample, exhausted = _origin_sampler(cfg, n_t, settings.tail_tol)
+        sampler = _OriginSampler(cfg, n_t, settings.tail_tol)
     else:
-        sample, exhausted = _window_sampler(cfg, settings)
-
-    trans = coll = rach = redraws = attempt = 0
-    while attempt - redraws < settings.replications:
-        if redraws > settings.redraw_budget:
-            raise ConfigError(f"redraw budget exhausted: {exhausted}")
-        rng = np.random.default_rng(np.random.SeedSequence((settings.seed, attempt)))
-        attempt += 1
-        trial = sample(rng)
-        if trial is None:
-            redraws += 1
-            continue
-        transmission, collision = contention_outcome(*trial, 0, cfg, n_t, mode, rng)
-        trans += transmission
-        coll += collision
-        rach += transmission and not collision
+        sampler = _WindowSampler(cfg, settings)
 
     n = settings.replications
+    done = trans = coll = rach = redraws = attempt = 0
+    while done < n:
+        need = n - done
+        # attempts for the rest of the run at the acceptance seen so far,
+        # and no more than can run before the redraw budget is spent
+        want = min(need if done == 0 else -(-need * attempt // done),
+                   need + settings.redraw_budget - redraws + 1)
+        rngs, draws = [], []
+        stations = devices = 0
+        while len(draws) < want:
+            rng = np.random.default_rng(np.random.SeedSequence((settings.seed, attempt + len(draws))))
+            draw = sampler.draw(rng)
+            rngs.append(rng)
+            draws.append(draw)
+            if draw is not None:
+                stations = max(stations, draw[0].shape[1])
+                devices = max(devices, draw[1].shape[1] + 1)
+                # arrays at the chunk's widest attempt: about ten of stations,
+                # eight of devices, three of fading and the search's pairs
+                size = _ATTEMPT_OVERHEAD + 10 * stations + (8 + 12 * n_t) * devices \
+                    + sampler.pair_arrays * stations * devices
+                if len(draws) * size >= _CHUNK_ELEMENTS:
+                    break
+
+        placed = [i for i, draw in enumerate(draws) if draw is not None]
+        accepted = np.zeros(len(draws), dtype=bool)
+        if placed:
+            inside, dist, same_cell = sampler.place([draws[i] for i in placed])
+            accepted[placed] = inside
+        hits = np.flatnonzero(accepted)[:need]
+        used = int(hits[-1]) + 1 if hits.size == need else len(draws)
+        redraws += used - hits.size
+        attempt += used
+        if redraws > settings.redraw_budget:
+            raise ConfigError(f"redraw budget exhausted: {sampler.exhausted}")
+        if hits.size == 0:
+            continue
+
+        rows = np.searchsorted(placed, hits)
+        dist, same_cell = dist[rows], same_cell[rows]
+        # fading is each attempt's last draw; INTRA_CELL_ONLY needs it only
+        # up to the last same-cell device, and a shorter draw leaves that
+        # prefix unchanged
+        if mode is InterferenceMode.INTRA_CELL_ONLY:
+            width = same_cell.shape[1] - np.argmax(same_cell[:, ::-1], axis=1)
+        else:
+            width = np.isfinite(dist).sum(axis=1)
+        dist, same_cell = dist[:, :width.max()], same_cell[:, :width.max()]
+        fading = np.zeros(dist.shape + (n_t, 4))
+        for row, (i, k) in enumerate(zip(hits.tolist(), width.tolist())):
+            rngs[i].standard_exponential(out=fading[row, :k])
+        transmission, collision = contention_outcome(dist, same_cell, cfg, n_t, mode, fading)
+        trans += int(transmission.sum())
+        coll += int(collision.sum())
+        rach += int((transmission & ~collision).sum())
+        done += hits.size
+
     return SimulationSummary(
         transmission=_estimate(trans, n, settings.seed),
         rach=_estimate(rach, n, settings.seed),

@@ -151,7 +151,7 @@ def test_criterion_5_transmission_oracle_match():
     report(5, "joint success inside simulation CI", gap <= est.ci_halfwidth,
            f"analytic {analytic:.6f}, simulated {est.p_hat:.6f} "
            f"(gap {gap:.6f} vs halfwidth {est.ci_halfwidth:.6f}, 1e5 trials)",
-           secs, 300.0)
+           secs, 60.0)
 
 
 # validation grid: (a_a, gamma_dB) blocks, repetition values within each.
@@ -291,4 +291,4 @@ def test_criterion_9_pipeline_determinism(tmp_path):
     secs = time.perf_counter() - t0
     report(9, "pipeline determinism", identical and len(outs[0]) > 0,
            f"two full preset runs, {len(outs[0])} CSV bytes each, "
-           f"byte-identical: {identical}", secs, 1800.0)
+           f"byte-identical: {identical}", secs, 120.0)

@@ -2,10 +2,12 @@
 per-trial contention logic and agreement with the analytics."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nbrach import simulation
 from nbrach.errors import ConfigError
 from nbrach.rach import ChannelConfig, InterferenceMode, joint_symbol_success
 from nbrach.simulation import (
@@ -75,6 +77,16 @@ def test_associate_nearest_requires_station():
 # ------------------------------------------------------------ trial logic
 
 
+def score(dist, same_cell, cfg, mode, seed, tagged=0):
+    """One trial on the fading block default_rng(seed) draws for it, the
+    tagged device moved to the front, where the scorer expects it."""
+    fading = np.random.default_rng(seed).exponential(size=(len(dist), 1, 4))
+    order = [tagged] + [i for i in range(len(dist)) if i != tagged]
+    trans, coll = contention_outcome(dist[order], same_cell[order], cfg, 1, mode,
+                                     fading[order])
+    return bool(trans[0]), bool(coll[0])
+
+
 def test_lone_device_succeeds():
     # thermal noise is ~16 orders below the received power here; without
     # noise the SINR is infinite, and that must not warn
@@ -83,8 +95,8 @@ def test_lone_device_succeeds():
                             **({} if sigma2 is None else {"sigma2": sigma2}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trans, coll = contention_outcome(np.array([0.1]), np.array([True]), 0, cfg, 1,
-                                             InterferenceMode.FULL, np.random.default_rng(0))
+            trans, coll = score(np.array([0.1]), np.array([True]), cfg,
+                                InterferenceMode.FULL, 0)
         assert trans and not coll
 
 
@@ -93,8 +105,7 @@ def test_colocated_mutual_exclusion_at_high_threshold():
     # within the same repetition
     cfg = ChannelConfig(lambda_b=1.0, lambda_d=0.0)
     for seed in range(300):
-        trans, coll = contention_outcome(*COLOCATED, 0, cfg, 1, InterferenceMode.FULL,
-                                         np.random.default_rng(seed))
+        trans, coll = score(*COLOCATED, cfg, InterferenceMode.FULL, seed)
         assert not (trans and coll)
 
 
@@ -103,10 +114,8 @@ def test_colocated_symmetry_below_unit_threshold():
     cfg = ChannelConfig(lambda_b=1.0, lambda_d=0.0, gamma_th=0.25)
     both = 0
     for seed in range(60):
-        a_trans, a_coll = contention_outcome(*COLOCATED, 0, cfg, 1, InterferenceMode.FULL,
-                                             np.random.default_rng(seed))
-        b_trans, b_coll = contention_outcome(*COLOCATED, 1, cfg, 1, InterferenceMode.FULL,
-                                             np.random.default_rng(seed))
+        a_trans, a_coll = score(*COLOCATED, cfg, InterferenceMode.FULL, seed)
+        b_trans, b_coll = score(*COLOCATED, cfg, InterferenceMode.FULL, seed, tagged=1)
         assert a_trans == b_coll
         assert a_coll == b_trans
         if a_trans and a_coll:
@@ -120,8 +129,7 @@ def test_trial_interference_mode_pools():
     cfg = ChannelConfig(lambda_b=1.0, lambda_d=0.0)
 
     def successes(mode):
-        return sum(contention_outcome(dist, same_cell, 0, cfg, 1, mode,
-                                      np.random.default_rng(s))[0] for s in range(300))
+        return sum(score(dist, same_cell, cfg, mode, s)[0] for s in range(300))
 
     intra = successes(InterferenceMode.INTRA_CELL_ONLY)
     assert intra == 300
@@ -143,22 +151,57 @@ def test_summary_deterministic():
 # Tallies recorded before the single-loop refactor; any change to the
 # per-attempt draw order shows here and must be declared as a stream change.
 CROWD = ChannelConfig(lambda_b=1.0, lambda_d=10_000.0, gamma_th=0.5)
+# a few devices per trial, so one chunk holds hundreds of attempts
+LIGHT = ChannelConfig(lambda_b=1.0, lambda_d=3_000.0, gamma_th=0.25)
 
 
-@pytest.mark.parametrize("n_t, mode, settings, expected", [
-    (8, InterferenceMode.FULL, SimSettings(replications=400, seed=101),
+@pytest.mark.parametrize("cfg, n_t, mode, settings, expected", [
+    (CROWD, 8, InterferenceMode.FULL, SimSettings(replications=400, seed=101),
      (378, 373, 19, 0)),
-    (4, InterferenceMode.INTRA_CELL_ONLY, SimSettings(replications=400, seed=102),
+    (CROWD, 4, InterferenceMode.INTRA_CELL_ONLY, SimSettings(replications=400, seed=102),
      (385, 382, 17, 0)),
-    (2, InterferenceMode.FULL, SimSettings(replications=400, seed=103, region=Region(4.0)),
+    (CROWD, 2, InterferenceMode.FULL, SimSettings(replications=400, seed=103, region=Region(4.0)),
      (364, 362, 14, 370)),
-], ids=["origin-full", "origin-intra", "window"])
-def test_summary_stream_pinned(n_t, mode, settings, expected):
-    s = simulate_summary(CROWD, n_t, mode, settings)
+    # recorded before the chunked loop: many chunks, a count that is a
+    # multiple of no chunk, and redraws that fall across chunk boundaries
+    (LIGHT, 4, InterferenceMode.FULL, SimSettings(replications=2501, seed=104),
+     (2471, 2461, 31, 0)),
+    (LIGHT, 4, InterferenceMode.INTRA_CELL_ONLY, SimSettings(replications=2501, seed=105),
+     (2465, 2448, 53, 0)),
+    (CROWD, 2, InterferenceMode.FULL, SimSettings(replications=1201, seed=106, region=Region(4.0)),
+     (1084, 1080, 45, 998)),
+], ids=["origin-full", "origin-intra", "window", "light-full", "light-intra", "window-long"])
+def test_summary_stream_pinned(cfg, n_t, mode, settings, expected):
+    s = simulate_summary(cfg, n_t, mode, settings)
     trans, rach, coll, redraws = expected
     n = settings.replications
     assert (s.transmission.p_hat, s.rach.p_hat, s.collision_rate, s.redraws) \
         == (trans / n, rach / n, coll / n, redraws)
+
+
+def test_redraw_budget_boundary():
+    # the window-long run needs exactly 998 redraws: that budget still
+    # passes and one less raises, as with one attempt at a time
+    settings = SimSettings(replications=1201, seed=106, region=Region(4.0), redraw_budget=998)
+    assert simulate_summary(CROWD, 2, settings=settings).redraws == 998
+    with pytest.raises(ConfigError, match="redraw budget"):
+        simulate_summary(CROWD, 2, settings=replace(settings, redraw_budget=997))
+
+
+@pytest.mark.parametrize("mode, region", [
+    (InterferenceMode.FULL, None),
+    (InterferenceMode.INTRA_CELL_ONLY, None),
+    (InterferenceMode.FULL, Region(4.0)),
+], ids=["origin-full", "origin-intra", "window"])
+def test_summary_chunk_invariant(monkeypatch, mode, region):
+    # one attempt per chunk, the shipped budget, and one chunk per run
+    settings = SimSettings(replications=300, seed=107, region=region)
+    runs = []
+    for elements in (1, simulation._CHUNK_ELEMENTS, 1 << 40):
+        monkeypatch.setattr(simulation, "_CHUNK_ELEMENTS", elements)
+        runs.append(simulate_summary(CROWD, 4, mode, settings))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0].redraws > 0 or region is None
 
 
 def test_summary_matches_analytics_at_transmission_level():
