@@ -21,14 +21,14 @@ makes one attempt's raw draws (Poisson counts, disc uniforms) from its
 generator, and `place` turns a chunk of them into the tagged stations'
 distances and same-cell masks, or rejects attempts.  simulate_summary
 owns the single replication loop (per-attempt seeding, redraw budget,
-tallies) and runs it in chunks of attempts.  Attempt k still draws from
-its own stream SeedSequence((seed, k)), geometry first and fading last,
-in the order of a one-trial-at-a-time loop.  All that follows the draws
-(Cartesian positions, serving-station search, cell membership, pool sums,
-SINR) runs once per chunk on arrays padded to the chunk's widest attempt,
-and contention_outcome, the one scorer, scores a whole chunk in one pass.
-Pools add a trial's devices in the order a one-trial sum does, so the
-chunking never changes a result or a CSV byte.
+tallies) and runs it in chunks of attempts.  Attempt k draws from its
+own stream SeedSequence((seed, k)): geometry first, fading last.  All
+that follows the draws (Cartesian positions, serving-station search,
+cell membership, pool sums, SINR) runs once per chunk on arrays padded to
+the chunk's widest attempt, and contention_outcome, the one scorer,
+scores a whole chunk in one pass.  Pools add each trial's devices in row
+order, so a trial scores the same in any chunk: the chunking never
+changes a result or a CSV byte.
 """
 
 from __future__ import annotations
@@ -165,18 +165,14 @@ def _cartesian(r: np.ndarray, theta: np.ndarray,
     return x, y
 
 
-def _disc_points(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    x, y = _cartesian(*_polar(radius, [rng.random((2, n))]))
-    return np.column_stack((x[0], y[0]))
-
-
 def sample_ppp(intensity: float, region: Region, rng: np.random.Generator) -> np.ndarray:
     """Homogeneous Poisson sample on the disc: Poisson count, uniform
     positions.  Returns an (n, 2) array (possibly empty)."""
     if intensity < 0.0:
         raise ConfigError("intensity must be non-negative")
     n = int(rng.poisson(intensity * region.area)) if intensity > 0.0 else 0
-    return _disc_points(n, region.radius, rng)
+    x, y = _cartesian(*_polar(region.radius, [rng.random((2, n))]))
+    return np.column_stack((x[0], y[0]))
 
 
 def _nearest(x: np.ndarray, y: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
@@ -305,7 +301,11 @@ class _OriginSampler:
         same_cell[:, 0] = True
         t, d = np.nonzero(dist[:, 1:] <= self.cell_check)
         d += 1
-        same_cell[t, d] = _nearest(px[t, d], py[t, d], *_cartesian(r[t], theta[t])) == serve[t]
+        # a station nearer than the serving one lies within |p| + dist of
+        # the origin; the 1e-9 margin dwarfs the rounding of either side
+        reach = (np.hypot(px[t, d], py[t, d]) + dist[t, d]) * (1.0 + 1e-9)
+        near_x, near_y = _cartesian(r[t], theta[t], r[t] <= reach[:, None])
+        same_cell[t, d] = _nearest(px[t, d], py[t, d], near_x, near_y) == serve[t]
         return np.ones(len(draws), dtype=bool), dist, same_cell
 
 
