@@ -349,6 +349,8 @@ class _WindowSampler:
         rows = np.arange(len(draws))
         serve = assoc[:, 0]
         ex, ey = sx[rows, serve], sy[rows, serve]
+        # math.hypot per station: np.hypot may differ in the last bit, and
+        # the guard test must not move
         inside = np.array([math.hypot(x, y) <= self.interior
                            for x, y in zip(ex.tolist(), ey.tolist())])
         dist = np.hypot(px - ex[:, None], py - ey[:, None])
