@@ -152,12 +152,9 @@ def _polar(radius: float, uniforms: list[np.ndarray],
     return r, theta
 
 
-def _cartesian(r: np.ndarray, theta: np.ndarray,
-               where: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """x and y of the polar points selected by `where`, by default every
-    finite one; the others stay at infinity."""
-    if where is None:
-        where = np.isfinite(r)
+def _cartesian(r: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the finite polar points; padding stays at infinity."""
+    where = np.isfinite(r)
     x = np.full(r.shape, np.inf)
     y = np.full(r.shape, np.inf)
     x[where] = r[where] * np.cos(theta[where])
@@ -199,10 +196,10 @@ def contention_outcome(dist: np.ndarray, same_cell: np.ndarray, cfg: ChannelConf
     Row t of `dist` holds trial t's same-preamble active devices'
     distances to the tagged device's serving station, the tagged device
     first, and `same_cell` marks the devices that station serves, the
-    tagged one always.  Rows are padded to a common width with infinite
-    distances, which carry no power, and False.  A single trial may come
-    as one row.  `fading` holds every device's unit-mean exponential
-    fading per repetition and symbol group, shape dist.shape + (n_t, 4),
+    tagged one always; both have shape (trials, devices), rows padded to
+    a common width with infinite distances, which carry no power, and
+    False.  `fading` holds every device's unit-mean exponential fading per
+    repetition and symbol group, shape (trials, devices, n_t, 4),
     so the tagged evaluation and every contender evaluation of a trial
     see the same channel realisations.
 
@@ -213,10 +210,7 @@ def contention_outcome(dist: np.ndarray, same_cell: np.ndarray, cfg: ChannelConf
     a trial in row order, padding last, so a trial scores the same alone
     or among others.
     """
-    dist = np.atleast_2d(dist)
-    same_cell = np.atleast_2d(same_cell)
-    contrib = (cfg.p * np.maximum(dist, 1e-12) ** (-cfg.alpha))[..., None, None] \
-        * np.reshape(fading, dist.shape + (n_t, 4))
+    contrib = (cfg.p * np.maximum(dist, 1e-12) ** (-cfg.alpha))[..., None, None] * fading
     if mode is InterferenceMode.FULL:
         pool = contrib.sum(axis=1)
     elif mode is InterferenceMode.INTRA_CELL_ONLY:
@@ -266,7 +260,6 @@ class _OriginSampler:
     exact to exp(-25), interferers out to the interference horizon."""
 
     exhausted = "station field too sparse to sample"
-    pair_arrays = 0  # only the few devices near the serving station search
 
     def __init__(self, cfg: ChannelConfig, n_t: int, tail_tol: float):
         sqrt_plb = math.sqrt(math.pi * cfg.lambda_b)
@@ -276,6 +269,12 @@ class _OriginSampler:
         self.r_int = interference_horizon(cfg, n_t, tail_tol)
         self.mean_enb = cfg.lambda_b * math.pi * self.r_enb ** 2
         self.mean_int = active_density(cfg) * math.pi * self.r_int ** 2
+        # expected devices within cell_check of the serving station
+        self.mean_near = active_density(cfg) * math.pi * self.cell_check ** 2
+
+    def searchers(self, devices: int) -> float:
+        """Devices per attempt that search every station for their own."""
+        return min(devices, self.mean_near)
 
     def draw(self, rng: np.random.Generator):
         n_b = int(rng.poisson(self.mean_enb))
@@ -286,11 +285,7 @@ class _OriginSampler:
         return stations, rng.random((2, n_i))
 
     def place(self, draws):
-        r, theta = _polar(self.r_enb, [d[0] for d in draws])
-        # the serving station is the nearest by x, y, whose distance from
-        # the origin is within a few ulp of the radius; so only stations
-        # within 1e-9 of the smallest radius need x, y here
-        sx, sy = _cartesian(r, theta, r <= r.min(axis=1, keepdims=True) * (1.0 + 1e-9))
+        sx, sy = _cartesian(*_polar(self.r_enb, [d[0] for d in draws]))
         serve = np.argmin(np.hypot(sx, sy), axis=1)
         rows = np.arange(len(draws))
         px, py = _cartesian(*_polar(self.r_int, [d[1] for d in draws], skip=1))
@@ -301,11 +296,7 @@ class _OriginSampler:
         same_cell[:, 0] = True
         t, d = np.nonzero(dist[:, 1:] <= self.cell_check)
         d += 1
-        # a station nearer than the serving one lies within |p| + dist of
-        # the origin; the 1e-9 margin dwarfs the rounding of either side
-        reach = (np.hypot(px[t, d], py[t, d]) + dist[t, d]) * (1.0 + 1e-9)
-        near_x, near_y = _cartesian(r[t], theta[t], r[t] <= reach[:, None])
-        same_cell[t, d] = _nearest(px[t, d], py[t, d], near_x, near_y) == serve[t]
+        same_cell[t, d] = _nearest(px[t, d], py[t, d], sx[t], sy[t]) == serve[t]
         return np.ones(len(draws), dtype=bool), dist, same_cell
 
 
@@ -316,7 +307,6 @@ class _WindowSampler:
     the estimate carries the documented edge bias."""
 
     exhausted = "no interior tagged cell found"
-    pair_arrays = 5  # every device searches every station
 
     def __init__(self, cfg: ChannelConfig, settings: SimSettings):
         region = settings.region
@@ -329,6 +319,10 @@ class _WindowSampler:
         self.interior = region.radius - guard
         self.mean_enb = cfg.lambda_b * region.area
         self.mean_int = active_density(cfg) * region.area
+
+    def searchers(self, devices: int) -> float:
+        """Devices per attempt that search every station for their own."""
+        return devices
 
     def draw(self, rng: np.random.Generator):
         n_b = int(rng.poisson(self.mean_enb))
@@ -399,9 +393,10 @@ def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = Inte
                 stations = max(stations, draw[0].shape[1])
                 devices = max(devices, draw[1].shape[1] + 1)
                 # arrays at the chunk's widest attempt: about ten of stations,
-                # eight of devices, three of fading and the search's pairs
+                # eight of devices, three of fading and seven of the
+                # membership search's (searcher, station) pairs
                 size = _ATTEMPT_OVERHEAD + 10 * stations + (8 + 12 * n_t) * devices \
-                    + sampler.pair_arrays * stations * devices
+                    + 7 * sampler.searchers(devices) * stations
                 if len(draws) * size >= _CHUNK_ELEMENTS:
                     break
 
@@ -421,13 +416,8 @@ def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = Inte
 
         rows = np.searchsorted(placed, hits)
         dist, same_cell = dist[rows], same_cell[rows]
-        # fading is each attempt's last draw; INTRA_CELL_ONLY needs it only
-        # up to the last same-cell device, and a shorter draw leaves that
-        # prefix unchanged
-        if mode is InterferenceMode.INTRA_CELL_ONLY:
-            width = same_cell.shape[1] - np.argmax(same_cell[:, ::-1], axis=1)
-        else:
-            width = np.isfinite(dist).sum(axis=1)
+        # fading is each attempt's last draw, one block per real device
+        width = np.isfinite(dist).sum(axis=1)
         dist, same_cell = dist[:, :width.max()], same_cell[:, :width.max()]
         fading = np.zeros(dist.shape + (n_t, 4))
         for row, (i, k) in enumerate(zip(hits.tolist(), width.tolist())):

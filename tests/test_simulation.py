@@ -82,8 +82,8 @@ def score(dist, same_cell, cfg, mode, seed, tagged=0):
     tagged device moved to the front, where the scorer expects it."""
     fading = np.random.default_rng(seed).exponential(size=(len(dist), 1, 4))
     order = [tagged] + [i for i in range(len(dist)) if i != tagged]
-    trans, coll = contention_outcome(dist[order], same_cell[order], cfg, 1, mode,
-                                     fading[order])
+    trans, coll = contention_outcome(dist[order][None], same_cell[order][None], cfg, 1,
+                                     mode, fading[order][None])
     return bool(trans[0]), bool(coll[0])
 
 
