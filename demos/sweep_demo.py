@@ -2,21 +2,15 @@
 
 Sweeps rebuild the full configuration at every point of one swept key,
 so derived quantities (battery capacity, thinning availability, noise
-power) stay consistent along the axis.  Presets bundle the sweeps behind
-the reference figures; everything lands in deterministic CSV.
+power) stay consistent along the axis.  A custom sweep is named by the
+config (sweep_key, sweep_values, target) and run by `run_custom`; presets
+bundle the sweeps behind the reference figures.  Both return a table, and
+`emit_csv` writes it as deterministic CSV.
 """
 
-import io
 import tempfile
 
-from nbrach import (
-    Engine,
-    SweepSpec,
-    SweepTarget,
-    build_config,
-    run_preset,
-    run_sweep,
-)
+from nbrach import Engine, build_config, emit_csv, run_custom, run_preset
 
 
 def show(table, limit=None) -> None:
@@ -28,16 +22,11 @@ def show(table, limit=None) -> None:
 
 
 def main() -> None:
-    cfg = build_config({"lambda_b": "1", "lambda_d": "1000"})
+    cfg = build_config({"lambda_b": "1", "lambda_d": "1000", "sweep_key": "n_t",
+                        "sweep_values": "1, 2, 4, 8", "target": "rach"})
 
     print("custom sweep: random-access success vs repetition value")
-    table = run_sweep(SweepSpec(
-        target=SweepTarget.RACH_SUCCESS,
-        engine=Engine.ANALYTIC,
-        swept_parameter="n_t",
-        values=(1.0, 2.0, 4.0, 8.0),
-        config=cfg,
-    ))
+    table = run_custom(cfg, Engine.ANALYTIC)
     show(table)
 
     print("\npreset sweep: repetition efficiency series (first 4 rows)")
@@ -48,7 +37,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         paths = [f"{tmp}/run{i}.csv" for i in (1, 2)]
         for path in paths:
-            run_preset("fig13", build_config({}), Engine.ANALYTIC, path)
+            emit_csv(run_preset("fig13", build_config({}), Engine.ANALYTIC), path)
         blobs = [open(p, "rb").read() for p in paths]
         print(f"  {len(blobs[0])} bytes, identical: {blobs[0] == blobs[1]}")
 

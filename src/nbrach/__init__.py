@@ -39,7 +39,6 @@ from .rach import (
     active_density,
     cell_load_pmf,
     cell_load_truncation,
-    distance_pdf,
     joint_symbol_success,
     pgfl_exponent,
     pgfl_kernel,
@@ -54,23 +53,19 @@ from .simulation import (
     Region,
     SimSettings,
     SimulationSummary,
-    associate_nearest,
     interference_horizon,
-    sample_ppp,
     simulate_summary,
 )
 from .config import AppConfig, build_config, describe, load_config, parse_config_text
 from .sweep import (
     Engine,
     PRESETS,
-    SweepSpec,
     SweepTable,
     SweepTarget,
     emit_csv,
     parse_csv,
     run_custom,
     run_preset,
-    run_sweep,
 )
 
 __version__ = "0.1.0"
@@ -94,18 +89,15 @@ __all__ = [
     "Region",
     "SimSettings",
     "SimulationSummary",
-    "SweepSpec",
     "SweepTable",
     "SweepTarget",
     "active_density",
-    "associate_nearest",
     "availability_bounds",
     "build_config",
     "cell_load_pmf",
     "cell_load_truncation",
     "depletion_rate",
     "describe",
-    "distance_pdf",
     "emit_csv",
     "energy_availability",
     "generator_matrix",
@@ -127,8 +119,6 @@ __all__ = [
     "repetition_efficiency",
     "run_custom",
     "run_preset",
-    "run_sweep",
-    "sample_ppp",
     "select_epsilon",
     "simulate_energy_chain",
     "simulate_summary",

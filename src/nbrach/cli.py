@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-sweep         run a named figure preset or a config-driven custom sweep
+sweep         run a figure preset or a config-driven custom sweep; write CSV
 validate      parse a config file and echo the resolved settings
 availability  print the stationary availability bracket for the config
 
@@ -59,22 +59,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.out == "":
+        raise ConfigError("output path must not be empty")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = with_value(cfg, "seed", args.seed)
     engine = Engine(args.engine)
     try:
         if args.preset == "custom":
-            table = run_custom(cfg, engine, output_path=args.out)
+            table = run_custom(cfg, engine)
         else:
-            table = run_preset(args.preset, cfg, engine, output_path=args.out)
+            table = run_preset(args.preset, cfg, engine)
     except Exception as exc:
         # a failed sweep still reports its completed rows and error marker
-        if args.out is None and hasattr(exc, "partial_table"):
-            emit_csv(exc.partial_table)
+        if hasattr(exc, "partial_table"):
+            emit_csv(exc.partial_table, args.out)
         raise
-    if args.out is None:
-        emit_csv(table)
+    emit_csv(table, args.out)
     return EXIT_OK
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, integer
 
 # NPRACH repetition values admitted by the standard.
 STANDARD_REPETITIONS = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -81,9 +81,9 @@ class EnergyConfig:
             raise ConfigError("e0_ra must be positive")
         if self.e0_da < 0.0:
             raise ConfigError("e0_da must be non-negative")
-        if int(self.m0) != self.m0 or self.m0 < 1:
+        if integer(self.m0, "m0") < 1:
             raise ConfigError("m0 must be a positive integer")
-        if int(self.n_t) != self.n_t or not (1 <= self.n_t <= self.m0):
+        if not (1 <= integer(self.n_t, "n_t") <= self.m0):
             raise ConfigError("n_t must be an integer in [1, m0]")
         if self.enforce_standard_repetitions and self.n_t not in STANDARD_REPETITIONS:
             raise ConfigError(

@@ -5,6 +5,8 @@ NumericError covers failures of the numerical machinery itself.  The CLI
 maps these to distinct exit codes.
 """
 
+import operator
+
 
 class ConfigError(ValueError):
     """A parameter or configuration value violates its contract."""
@@ -25,3 +27,11 @@ class QuadratureError(NumericError):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.error_estimate = error_estimate
+
+
+def integer(value, name: str) -> int:
+    """`value` as an int; a float, even an integral one, is a ConfigError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None

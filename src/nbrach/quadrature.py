@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, QuadratureError
+from .errors import ConfigError, QuadratureError, integer
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class QuadratureSettings:
             raise ConfigError("rel_tol must be positive")
         if not (self.abs_tol > 0.0):
             raise ConfigError("abs_tol must be positive")
-        if self.max_subdivisions < 10:
+        if integer(self.max_subdivisions, "max_subdivisions") < 10:
             raise ConfigError("max_subdivisions must be at least 10")
         if not (0.0 < self.pmf_tail_mass < 1e-2):
             raise ConfigError("pmf_tail_mass must lie in (0, 1e-2)")
@@ -57,15 +57,10 @@ def improper_integral(func, lower: float, upper: float,
             func, lower, upper,
             epsabs=q.abs_tol, epsrel=q.rel_tol,
             limit=q.max_subdivisions, full_output=1)
-    message = tail[0] if tail else None
-
     tolerance = q.rel_tol * abs(value) + q.abs_tol
-    if message is not None and abserr > tolerance:
-        raise QuadratureError(
-            f"quadrature did not converge: {message}",
-            best_estimate=value, error_estimate=abserr)
     if abserr > tolerance:
         raise QuadratureError(
+            f"quadrature did not converge: {tail[0]}" if tail else
             f"quadrature error estimate {abserr:.3e} exceeds tolerance {tolerance:.3e}",
             best_estimate=value, error_estimate=abserr)
     return value, abserr

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, integer
 from .quadrature import QuadratureSettings, improper_integral
 
 # Shape constant of the gamma approximation to the Voronoi cell area
@@ -93,7 +93,7 @@ class ChannelConfig:
             raise ConfigError("a_a must lie in (0, 1]")
         if not (0.0 <= self.eta0 <= 1.0):
             raise ConfigError("eta0 must lie in [0, 1]")
-        if int(self.l_preambles) != self.l_preambles or self.l_preambles < 1:
+        if integer(self.l_preambles, "l_preambles") < 1:
             raise ConfigError("l_preambles must be a positive integer")
         if self.epsilon_override is not None and not (self.epsilon_override > 0.0):
             raise ConfigError("epsilon_override must be positive when given")
@@ -141,17 +141,6 @@ def select_epsilon(lambda_da: float, lambda_b: float,
     return 1.25 if lambda_da / lambda_b > 1.0 else 1.0
 
 
-def distance_pdf(r, epsilon: float, lambda_b: float):
-    """Density of the serving-station distance, Rayleigh with the epsilon
-    correction folded into the intensity.  Vectorises over r."""
-    if not (epsilon > 0.0 and lambda_b > 0.0):
-        raise ConfigError("epsilon and lambda_b must be positive")
-    r = np.asarray(r, dtype=float)
-    scale = epsilon * math.pi * lambda_b
-    out = 2.0 * scale * r * np.exp(-scale * r * r)
-    return out if out.ndim else float(out)
-
-
 def _kernel_integrand(alpha: float, l: int):
     """Scaled interference kernel g(u) = (1 - (1 + u^-alpha)^-l) u.
 
@@ -169,10 +158,7 @@ def _kernel_integrand(alpha: float, l: int):
 
 
 @lru_cache(maxsize=256)
-def _pgfl_kernel_cached(alpha: float, l: int, rel_tol: float, abs_tol: float,
-                        max_subdivisions: int) -> float:
-    settings = QuadratureSettings(rel_tol=rel_tol, abs_tol=abs_tol,
-                                  max_subdivisions=max_subdivisions)
+def _pgfl_kernel_cached(alpha: float, l: int, settings: QuadratureSettings) -> float:
     value, _ = improper_integral(_kernel_integrand(alpha, l), 0.0, np.inf, settings)
     return value
 
@@ -183,10 +169,8 @@ def pgfl_kernel(alpha: float, l: int, settings: QuadratureSettings | None = None
     The exponent at serving distance r0 is 2 pi lambda_Da gamma_th^(2/alpha)
     r0^2 times this kernel, so one cached quadrature serves every distance.
     """
-    q = settings or QuadratureSettings()
     _check_symbol_groups(l)
-    return _pgfl_kernel_cached(float(alpha), int(l), q.rel_tol, q.abs_tol,
-                               q.max_subdivisions)
+    return _pgfl_kernel_cached(float(alpha), int(l), settings or QuadratureSettings())
 
 
 def pgfl_exponent(r0: float, l: int, cfg: ChannelConfig,
@@ -217,6 +201,14 @@ def pgfl_exponent(r0: float, l: int, cfg: ChannelConfig,
     upper = cell_radius / (r0 * cfg.gamma_th ** (1.0 / cfg.alpha))
     value, _ = improper_integral(_kernel_integrand(cfg.alpha, l), 0.0, upper, q)
     return scale * value
+
+
+def _probability(value: float, q: QuadratureSettings, what: str) -> float:
+    """`value` clamped to [0, 1] when within abs_tol of it; anything
+    further out, NaN included, is a NumericError."""
+    if not (-q.abs_tol <= value <= 1.0 + q.abs_tol):
+        raise NumericError(f"{what} {value} outside [0, 1]")
+    return min(max(value, 0.0), 1.0)
 
 
 def joint_symbol_success(l: int, cfg: ChannelConfig,
@@ -253,11 +245,7 @@ def joint_symbol_success(l: int, cfg: ChannelConfig,
         raise ConfigError("mode must be an InterferenceMode")
 
     value, _ = improper_integral(integrand, 0.0, np.inf, q)
-    if value < 0.0 or value > 1.0:
-        if -q.abs_tol <= value <= 1.0 + q.abs_tol:
-            return min(max(value, 0.0), 1.0)
-        raise NumericError(f"joint symbol success {value} outside [0, 1]")
-    return value
+    return _probability(value, q, "joint symbol success")
 
 
 def preamble_success_prob(n_t: int, cfg: ChannelConfig,
@@ -276,11 +264,7 @@ def preamble_success_prob(n_t: int, cfg: ChannelConfig,
     for k in range(1, int(n_t) + 1):
         p_k = joint_symbol_success(symbol_group_count(k), cfg, mode, q)
         total += (-1.0) ** (k + 1) * math.comb(int(n_t), k) * p_k
-    if total < 0.0 or total > 1.0:
-        if -q.abs_tol <= total <= 1.0 + q.abs_tol:
-            return min(max(total, 0.0), 1.0)
-        raise NumericError(f"preamble success {total} outside [0, 1]")
-    return total
+    return _probability(total, q, "preamble success")
 
 
 def cell_load_pmf(n, lambda_da: float, lambda_b: float):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, integer
 from .rach import ChannelConfig, InterferenceMode, active_density, pgfl_kernel, select_epsilon
 
 # exp(-50) miss probability for nearest-station searches inside finite windows
@@ -97,15 +97,15 @@ class SimSettings:
     redraw_budget: int = 1000
 
     def __post_init__(self):
-        if int(self.replications) != self.replications or self.replications < 1:
+        if integer(self.replications, "replications") < 1:
             raise ConfigError("replications must be a positive integer")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if integer(self.seed, "seed") < 0:
             raise ConfigError("seed must be a non-negative integer")
         if self.guard is not None and self.guard < 0.0:
             raise ConfigError("guard must be non-negative")
         if not (0.0 < self.tail_tol < 1.0):
             raise ConfigError("tail_tol must lie in (0, 1)")
-        if int(self.redraw_budget) != self.redraw_budget or self.redraw_budget < 1:
+        if integer(self.redraw_budget, "redraw_budget") < 1:
             raise ConfigError("redraw_budget must be a positive integer")
 
 
@@ -162,16 +162,6 @@ def _cartesian(r: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return x, y
 
 
-def sample_ppp(intensity: float, region: Region, rng: np.random.Generator) -> np.ndarray:
-    """Homogeneous Poisson sample on the disc: Poisson count, uniform
-    positions.  Returns an (n, 2) array (possibly empty)."""
-    if intensity < 0.0:
-        raise ConfigError("intensity must be non-negative")
-    n = int(rng.poisson(intensity * region.area)) if intensity > 0.0 else 0
-    x, y = _cartesian(*_polar(region.radius, [rng.random((2, n))]))
-    return np.column_stack((x[0], y[0]))
-
-
 def _nearest(x: np.ndarray, y: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
     """Column of the nearest station to each point (x, y), searched over
     the matching row of sx, sy (or over one shared row); ties go to the
@@ -179,13 +169,6 @@ def _nearest(x: np.ndarray, y: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np
     dx = x[:, None] - sx
     dy = y[:, None] - sy
     return np.argmin(dx * dx + dy * dy, axis=1)
-
-
-def associate_nearest(devices: np.ndarray, enbs: np.ndarray) -> np.ndarray:
-    """Index of the nearest station per device, ties to the lowest index."""
-    if enbs.shape[0] == 0:
-        raise ConfigError("association requires at least one station")
-    return _nearest(devices[:, 0], devices[:, 1], enbs[:, 0], enbs[:, 1])
 
 
 def contention_outcome(dist: np.ndarray, same_cell: np.ndarray, cfg: ChannelConfig,

@@ -3,9 +3,9 @@
 A sweep walks one axis and evaluates a list of series at each point; a
 series names a target, its repetition count and configuration overrides.
 One evaluator per target and engine serves every series, and one serial
-loop (`_run`) fills the rows in axis order.  `PRESETS` is the table of
-reference-figure sweeps; a custom sweep (`SweepSpec`) walks any
-configuration key, rebuilding the full configuration at each point.
+loop (`_run`) fills the rows in axis order of a returned `SweepTable`.
+`PRESETS` is the table of reference-figure sweeps; `run_custom` walks the
+config's sweep_key, rebuilding the full configuration at each point.
 
 Simulation series reuse one seed across rows (common random numbers), so
 tables are reproducible byte for byte from (config, seed).  Per-row
@@ -44,27 +44,6 @@ class Engine(enum.Enum):
     ANALYTIC = "analytic"
     SIMULATION = "sim"
     BOTH = "both"
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Custom single-axis sweep over one configuration key."""
-
-    target: SweepTarget
-    engine: Engine
-    swept_parameter: str
-    values: tuple[float, ...]
-    config: AppConfig
-    output_path: str | None = None
-
-    def __post_init__(self):
-        if self.swept_parameter not in KEYS:
-            raise ConfigError(f"swept parameter {self.swept_parameter!r} is not a configuration key")
-        if not self.values:
-            raise ConfigError("sweep values must be non-empty")
-        diffs = [b - a for a, b in zip(self.values, self.values[1:])]
-        if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-            raise ConfigError("sweep values must be strictly monotone")
 
 
 @dataclass(frozen=True)
@@ -159,13 +138,10 @@ def _evaluators(series: Series, engine: Engine):
 
 
 def _run(axis: str, values: tuple[float, ...], series: tuple[Series, ...], engine: Engine,
-         point_for: Callable[[float, Series], tuple[AppConfig, int]],
-         output_path: str | None) -> SweepTable:
-    """Evaluate the rows in axis order; write the table to `output_path`
-    if given.  On a row failure the completed rows plus an error-marker row
-    are written instead and attached to the exception as `partial_table`."""
-    if output_path == "":
-        raise ConfigError("output path must not be empty")
+         point_for: Callable[[float, Series], tuple[AppConfig, int]]) -> SweepTable:
+    """Evaluate the rows in axis order.  On a row failure the completed
+    rows plus an error-marker row are attached to the exception as
+    `partial_table`."""
     plans = [(s, _evaluators(s, engine)) for s in series]
     columns = (axis,) + tuple(n for _, evs in plans for names, _ in evs for n in names)
     rows, runtimes = [], []
@@ -180,36 +156,33 @@ def _run(axis: str, values: tuple[float, ...], series: tuple[Series, ...], engin
         except Exception as exc:
             marker = (value,) + ("error",) * (len(columns) - 1)
             exc.partial_table = SweepTable(columns, tuple(rows) + (marker,), tuple(runtimes))
-            if output_path is not None:
-                emit_csv(exc.partial_table, output_path)
             raise
         rows.append(tuple(cells))
         runtimes.append(time.perf_counter() - t0)
-    table = SweepTable(columns, tuple(rows), tuple(runtimes))
-    if output_path is not None:
-        emit_csv(table, output_path)
-    return table
+    return SweepTable(columns, tuple(rows), tuple(runtimes))
 
 
-def run_sweep(spec: SweepSpec) -> SweepTable:
-    """Custom sweep: rebuild the configuration at each swept value of one
-    key (derived defaults recompute) and evaluate the target."""
+def run_custom(cfg: AppConfig, engine: Engine) -> SweepTable:
+    """Custom sweep named by the config's sweep_key, sweep_values and
+    target: rebuild the configuration at each swept value of that key
+    (derived defaults recompute) and evaluate the target."""
+    if not cfg.sweep_key or cfg.sweep_values is None or not cfg.target:
+        raise ConfigError("custom sweep requires sweep_key, sweep_values and target in the config")
+    key, values = cfg.sweep_key, tuple(cfg.sweep_values)
+    if key not in KEYS:
+        raise ConfigError(f"swept parameter {key!r} is not a configuration key")
+    if not values:
+        raise ConfigError("sweep values must be non-empty")
+    diffs = [b - a for a, b in zip(values, values[1:])]
+    if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
+        raise ConfigError("sweep values must be strictly monotone")
 
     def point_for(v: float, _series: Series) -> tuple[AppConfig, int]:
-        point = with_value(spec.config, spec.swept_parameter, v)
+        point = with_value(cfg, key, v)
         return point, point.energy.n_t
 
-    series = (Series(spec.target.value, spec.target, None, {}),)
-    return _run(spec.swept_parameter, spec.values, series, spec.engine, point_for,
-                spec.output_path)
-
-
-def run_custom(cfg: AppConfig, engine: Engine, output_path: str | None = None) -> SweepTable:
-    """Run the SweepSpec named by the config's sweep_key/sweep_values/target."""
-    if not cfg.sweep_key or not cfg.sweep_values or not cfg.target:
-        raise ConfigError("custom sweep requires sweep_key, sweep_values and target in the config")
-    return run_sweep(SweepSpec(SweepTarget(cfg.target), engine, cfg.sweep_key,
-                               tuple(cfg.sweep_values), cfg, output_path))
+    target = SweepTarget(cfg.target)
+    return _run(key, values, (Series(target.value, target, None, {}),), engine, point_for)
 
 
 # presets: one table entry name -> (axis, values, series) per reference figure
@@ -274,9 +247,8 @@ def _preset_sim(cfg: AppConfig):
         cfg.sim, replications=PRESET_REPLICATIONS)
 
 
-def run_preset(name: str, cfg: AppConfig, engine: Engine,
-               output_path: str | None = None) -> SweepTable:
-    """Run one named preset; 'custom' sweeps are built through SweepSpec."""
+def run_preset(name: str, cfg: AppConfig, engine: Engine) -> SweepTable:
+    """Run one named preset; 'custom' sweeps go through run_custom."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)} or 'custom'")
     axis, values, series = PRESETS[name]
@@ -289,4 +261,4 @@ def run_preset(name: str, cfg: AppConfig, engine: Engine,
             point = _SETTERS[key](point, value, n_t)
         return point, n_t
 
-    return _run(axis, values, series, engine, point_for, output_path)
+    return _run(axis, values, series, engine, point_for)

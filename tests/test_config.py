@@ -1,6 +1,7 @@
 """Tests for the key = value configuration layer: parsing, units,
 derived defaults and canonical rendering."""
 
+import numpy as np
 import pytest
 
 from nbrach.config import (
@@ -11,10 +12,10 @@ from nbrach.config import (
     parse_config_text,
     with_value,
 )
-from nbrach.energy import BoundMode
+from nbrach.energy import BoundMode, EnergyConfig
 from nbrach.errors import ConfigError
 from nbrach.quadrature import QuadratureSettings
-from nbrach.rach import InterferenceMode
+from nbrach.rach import ChannelConfig, InterferenceMode
 from nbrach.simulation import SimSettings
 
 
@@ -182,6 +183,20 @@ def test_sim_fields():
     assert c.sim.seed == 9
     assert c.sim.region.area == pytest.approx(400.0)
     assert c.sim.guard == 0.5
+
+
+@pytest.mark.parametrize("layer, name", [
+    (SimSettings, "replications"), (SimSettings, "seed"), (SimSettings, "redraw_budget"),
+    (EnergyConfig, "m0"), (EnergyConfig, "n_t"), (QuadratureSettings, "max_subdivisions"),
+    (ChannelConfig, "l_preambles"),
+])
+def test_integer_fields_reject_floats(layer, name):
+    # an integral float used to pass and crash far away (a slice index, a
+    # SeedSequence, the DES, QUADPACK's limit) with a TypeError
+    default = getattr(layer(), name)
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        layer(**{name: float(default)})
+    assert getattr(layer(**{name: np.int64(default)}), name) == default
 
 
 def test_with_value_rebuilds_derived_defaults():

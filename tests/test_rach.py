@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
-from nbrach.errors import ConfigError
+from nbrach import rach
+from nbrach.errors import ConfigError, NumericError
 from nbrach.quadrature import QuadratureSettings
 from nbrach.rach import (
     ChannelConfig,
@@ -17,7 +18,6 @@ from nbrach.rach import (
     active_density,
     cell_load_pmf,
     cell_load_truncation,
-    distance_pdf,
     joint_symbol_success,
     pgfl_exponent,
     pgfl_kernel,
@@ -28,7 +28,6 @@ from nbrach.rach import (
     select_epsilon,
     symbol_group_count,
 )
-from nbrach.quadrature import improper_integral
 
 DESK = ChannelConfig(lambda_b=1.0, lambda_d=1000.0)
 
@@ -98,19 +97,6 @@ def test_select_epsilon_crossover():
     assert select_epsilon(1.0 + 1e-12, 1.0) == 1.25
     assert select_epsilon(100.0, 1.0) == 1.25
     assert select_epsilon(100.0, 1.0, override=1.1) == 1.1
-
-
-@pytest.mark.parametrize("eps", [1.0, 1.25])
-def test_distance_pdf_mass(eps):
-    mass, _ = improper_integral(lambda r: distance_pdf(r, eps, 2.0), 0.0, np.inf)
-    assert mass == pytest.approx(1.0, abs=1e-9)
-
-
-def test_distance_pdf_vectorises():
-    r = np.array([0.0, 0.1, 1.0])
-    out = distance_pdf(r, 1.0, 1.0)
-    assert out.shape == (3,)
-    assert out[0] == 0.0
 
 
 # ------------------------------------------------------ joint group success
@@ -187,6 +173,24 @@ def test_preamble_union_bounds():
 def test_preamble_rejects_large_repetition_count():
     with pytest.raises(ConfigError):
         preamble_success_prob(64, DESK)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (-5e-11, 0.0), (1.0 + 5e-11, 1.0), (-1e-9, None), (1.0 + 1e-9, None), (math.nan, None),
+])
+def test_probabilities_clamped_within_abs_tol(monkeypatch, value, expected):
+    # within abs_tol of [0, 1] a value is clamped; beyond it, or NaN, it is
+    # a NumericError (INTRA mode: no cached kernel sees the patched integral)
+    monkeypatch.setattr(rach, "improper_integral", lambda *args: (value, 0.0))
+    joint = lambda: joint_symbol_success(4, DESK, InterferenceMode.INTRA_CELL_ONLY)
+    monkeypatch.setattr(rach, "joint_symbol_success", lambda *args: value)
+    preamble = lambda: preamble_success_prob(1, DESK)
+    for evaluate in (joint, preamble):
+        if expected is None:
+            with pytest.raises(NumericError, match=r"outside \[0, 1\]"):
+                evaluate()
+        else:
+            assert evaluate() == expected
 
 
 def test_preamble_decreasing_in_threshold():

@@ -13,10 +13,8 @@ from nbrach.rach import ChannelConfig, InterferenceMode, joint_symbol_success
 from nbrach.simulation import (
     Region,
     SimSettings,
-    associate_nearest,
     contention_outcome,
     interference_horizon,
-    sample_ppp,
     simulate_summary,
 )
 
@@ -26,24 +24,6 @@ COLOCATED = (np.array([0.3, 0.3]), np.array([True, True]))
 
 
 # ------------------------------------------------------------- point fields
-
-
-def test_ppp_count_statistics():
-    region = Region.from_area(100.0)
-    rng = np.random.default_rng(0)
-    counts = [sample_ppp(1.0, region, rng).shape[0] for _ in range(400)]
-    total = sum(counts)
-    # total ~ Poisson(40000)
-    assert abs(total - 40_000) <= 3.0 * np.sqrt(40_000)
-    pts = sample_ppp(1.0, region, rng)
-    assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= region.radius)
-
-
-def test_ppp_zero_intensity():
-    rng = np.random.default_rng(0)
-    assert sample_ppp(0.0, Region(2.0), rng).shape == (0, 2)
-    with pytest.raises(ConfigError):
-        sample_ppp(-1.0, Region(2.0), rng)
 
 
 def test_region_validation():
@@ -57,7 +37,7 @@ def test_associate_nearest_brute_force():
     rng = np.random.default_rng(2)
     devs = rng.random((40, 2))
     enbs = rng.random((7, 2))
-    got = associate_nearest(devs, enbs)
+    got = simulation._nearest(devs[:, 0], devs[:, 1], enbs[:, 0], enbs[:, 1])
     for i, d in enumerate(devs):
         dists = np.hypot(*(enbs - d).T)
         assert dists[got[i]] == dists.min()
@@ -66,12 +46,7 @@ def test_associate_nearest_brute_force():
 def test_associate_nearest_tie_lowest_index():
     devs = np.array([[0.0, 0.0]])
     enbs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    assert associate_nearest(devs, enbs)[0] == 0
-
-
-def test_associate_nearest_requires_station():
-    with pytest.raises(ConfigError):
-        associate_nearest(np.zeros((1, 2)), np.zeros((0, 2)))
+    assert simulation._nearest(devs[:, 0], devs[:, 1], enbs[:, 0], enbs[:, 1])[0] == 0
 
 
 # ------------------------------------------------------------ trial logic

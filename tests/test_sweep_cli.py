@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,14 +14,11 @@ from nbrach.errors import ConfigError
 from nbrach.sweep import (
     Engine,
     PRESETS,
-    SweepSpec,
     SweepTable,
-    SweepTarget,
     emit_csv,
     parse_csv,
     run_custom,
     run_preset,
-    run_sweep,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,18 +35,15 @@ def desk_config(**extra):
 
 
 def test_spec_validation():
-    cfg = desk_config()
+    cfg = desk_config(sweep_key="n_t", sweep_values="1, 2", target="rach")
     with pytest.raises(ConfigError, match="not a configuration key"):
-        SweepSpec(SweepTarget.RACH_SUCCESS, Engine.ANALYTIC, "bogus",
-                  (1.0, 2.0), cfg)
+        run_custom(replace(cfg, sweep_key="bogus"), Engine.ANALYTIC)
     with pytest.raises(ConfigError, match="non-empty"):
-        SweepSpec(SweepTarget.RACH_SUCCESS, Engine.ANALYTIC, "n_t", (), cfg)
+        run_custom(replace(cfg, sweep_values=()), Engine.ANALYTIC)
     with pytest.raises(ConfigError, match="monotone"):
-        SweepSpec(SweepTarget.RACH_SUCCESS, Engine.ANALYTIC, "n_t",
-                  (1.0, 3.0, 2.0), cfg)
+        run_custom(replace(cfg, sweep_values=(1.0, 3.0, 2.0)), Engine.ANALYTIC)
     # decreasing is fine
-    SweepSpec(SweepTarget.RACH_SUCCESS, Engine.ANALYTIC, "n_t",
-              (8.0, 4.0, 2.0), cfg)
+    run_custom(replace(cfg, sweep_values=(8.0, 4.0, 2.0)), Engine.ANALYTIC)
 
 
 def test_table_row_width_check():
@@ -59,9 +54,12 @@ def test_table_row_width_check():
 # ---------------------------------------------------------------- sweeps
 
 
+def custom(key, values, target):
+    return desk_config(sweep_key=key, sweep_values=", ".join(map(str, values)), target=target)
+
+
 def test_custom_sweep_frozen_values():
-    t = run_sweep(SweepSpec(SweepTarget.RACH_SUCCESS, Engine.ANALYTIC, "n_t",
-                            (1.0, 2.0, 4.0, 8.0), desk_config()))
+    t = run_custom(custom("n_t", (1, 2, 4, 8), "rach"), Engine.ANALYTIC)
     assert t.columns == ("n_t", "rach")
     vals = [row[1] for row in t.rows]
     assert vals[0] == pytest.approx(0.817811166157, rel=1e-9)
@@ -72,8 +70,7 @@ def test_custom_sweep_frozen_values():
 
 def test_sweep_rebuilds_point_configs():
     # each row re-derives the full configuration from the swept value
-    t = run_sweep(SweepSpec(SweepTarget.AVAILABILITY, Engine.ANALYTIC, "mu0",
-                            (0.01, 0.05), desk_config()))
+    t = run_custom(custom("mu0", (0.01, 0.05), "availability"), Engine.ANALYTIC)
     assert t.columns == ("mu0", "availability_lower", "availability_upper")
     assert t.rows[0][1] < t.rows[1][1]
     assert t.rows[1][1] == pytest.approx(0.30, abs=1e-6)
@@ -81,10 +78,9 @@ def test_sweep_rebuilds_point_configs():
 
 def test_error_row_marker_and_partial_flush(tmp_path):
     out = tmp_path / "partial.csv"
-    spec = SweepSpec(SweepTarget.RACH_SUCCESS, Engine.ANALYTIC, "alpha",
-                     (4.0, 3.0, 1.5), desk_config(), output_path=str(out))
-    with pytest.raises(ConfigError):
-        run_sweep(spec)
+    with pytest.raises(ConfigError) as info:
+        run_custom(custom("alpha", (4.0, 3.0, 1.5), "rach"), Engine.ANALYTIC)
+    emit_csv(info.value.partial_table, str(out))
     table = parse_csv(str(out))
     assert table.columns == ("alpha", "rach")
     assert len(table.rows) == 3
@@ -162,7 +158,7 @@ def test_preset_fig5_availability_plateaus():
 def test_preset_matches_reference_csv(name, tmp_path):
     # the analytic preset tables at the reference operating point, byte for byte
     out = tmp_path / f"{name}.csv"
-    run_preset(name, build_config({}), Engine.ANALYTIC, str(out))
+    emit_csv(run_preset(name, build_config({}), Engine.ANALYTIC), str(out))
     assert out.read_bytes() == (ROOT / "perfbench" / "reference" / f"{name}.csv").read_bytes()
 
 
