@@ -111,9 +111,9 @@ class RachSuccessDetail:
 
 def symbol_group_count(n_reps: int) -> int:
     """Total symbol groups across n_reps preamble repetitions."""
-    if int(n_reps) != n_reps or n_reps < 1:
+    if integer(n_reps, "repetition count") < 1:
         raise ConfigError("repetition count must be a positive integer")
-    return SYMBOL_GROUPS_PER_REPETITION * int(n_reps)
+    return SYMBOL_GROUPS_PER_REPETITION * n_reps
 
 
 def _check_symbol_groups(l: int) -> int:
@@ -255,15 +255,15 @@ def preamble_success_prob(n_t: int, cfg: ChannelConfig,
     groups through, by inclusion-exclusion over the joint laws (repetitions
     share the interferer positions, so they are dependent)."""
     q = settings or QuadratureSettings()
-    if int(n_t) != n_t or n_t < 1:
+    if integer(n_t, "n_t") < 1:
         raise ConfigError("n_t must be a positive integer")
     if n_t > MAX_ANALYTIC_REPETITIONS:
         raise ConfigError(
             f"analytic inclusion-exclusion is limited to n_t <= {MAX_ANALYTIC_REPETITIONS}")
     total = 0.0
-    for k in range(1, int(n_t) + 1):
+    for k in range(1, n_t + 1):
         p_k = joint_symbol_success(symbol_group_count(k), cfg, mode, q)
-        total += (-1.0) ** (k + 1) * math.comb(int(n_t), k) * p_k
+        total += (-1.0) ** (k + 1) * math.comb(n_t, k) * p_k
     return _probability(total, q, "preamble success")
 
 
@@ -359,4 +359,4 @@ def repetition_efficiency(n_t: int, cfg: ChannelConfig,
                           settings: QuadratureSettings | None = None) -> float:
     """Success probability bought per unit of radio resource: the n_t
     repetitions cost n_t times the airtime of one."""
-    return rach_success_prob(n_t, cfg, mode, settings) / float(int(n_t))
+    return rach_success_prob(n_t, cfg, mode, settings) / n_t

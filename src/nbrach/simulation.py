@@ -18,17 +18,16 @@ construction whose edge bias the guard-sanity tests exercise.
 
 Each construction is only a geometry sampler, in two steps: `draw`
 makes one attempt's raw draws (Poisson counts, disc uniforms) from its
-generator, and `place` turns a chunk of them into the tagged stations'
-distances and same-cell masks, or rejects attempts.  simulate_summary
-owns the single replication loop (per-attempt seeding, redraw budget,
-tallies) and runs it in chunks of attempts.  Attempt k draws from its
-own stream SeedSequence((seed, k)): geometry first, fading last.  All
-that follows the draws (Cartesian positions, serving-station search,
-cell membership, pool sums, SINR) runs once per chunk on arrays padded to
-the chunk's widest attempt, and contention_outcome, the one scorer,
-scores a whole chunk in one pass.  Pools add each trial's devices in row
-order, so a trial scores the same in any chunk: the chunking never
-changes a result or a CSV byte.
+generator, or None when no station falls in the window, and `place`
+turns a chunk of them into the tagged stations' distances and same-cell
+masks, rejecting window attempts served from outside the guard.
+simulate_summary owns the one replication loop: seeding, redraw budget,
+chunks and tallies.  All that follows the draws (Cartesian positions,
+serving-station search, cell membership, pool sums, SINR) runs once per
+chunk on arrays padded to the chunk's widest attempt, and
+contention_outcome, the one scorer, scores a whole chunk in one pass.
+Pools add each trial's devices in row order, so a trial scores the same
+in any chunk: the chunking never changes a result or a CSV byte.
 """
 
 from __future__ import annotations
@@ -39,7 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, integer
-from .rach import ChannelConfig, InterferenceMode, active_density, pgfl_kernel, select_epsilon
+from .rach import (
+    SYMBOL_GROUPS_PER_REPETITION,
+    ChannelConfig,
+    InterferenceMode,
+    active_density,
+    pgfl_kernel,
+    select_epsilon,
+    symbol_group_count,
+)
 
 # exp(-50) miss probability for nearest-station searches inside finite windows
 _WINDOW_LOG_MISS = 50.0
@@ -135,31 +142,34 @@ def _estimate(successes: int, trials: int, seed: int) -> RachEstimate:
     return RachEstimate(p_hat=p, ci_halfwidth=hw, trials=trials, seed=seed)
 
 
-def _polar(radius: float, uniforms: list[np.ndarray],
-           skip: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _disc_xy(radius: float, uniforms: list[np.ndarray],
+             skip: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Place each attempt's (2, n) uniforms, radial row first, uniformly
-    on the disc as one row of (attempts, skip + widest) radius and angle
-    arrays, from column `skip` on.  Padding sits at infinite radius: it is
-    never nearest and carries no power."""
+    on the disc as one row of (attempts, skip + widest) x and y arrays,
+    from column `skip` on.  Padding, and the skipped columns, sit at
+    infinity: never nearest, and no power."""
     counts = np.array([u.shape[1] for u in uniforms]) + skip
     cols = np.arange(counts.max())
     real = (cols >= skip) & (cols < counts[:, None])
     u = np.concatenate(uniforms, axis=1)
-    r = np.full(real.shape, np.inf)
-    theta = np.zeros(real.shape)
-    r[real] = radius * np.sqrt(u[0])
-    theta[real] = 2.0 * math.pi * u[1]
-    return r, theta
-
-
-def _cartesian(r: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x and y of the finite polar points; padding stays at infinity."""
-    where = np.isfinite(r)
-    x = np.full(r.shape, np.inf)
-    y = np.full(r.shape, np.inf)
-    x[where] = r[where] * np.cos(theta[where])
-    y[where] = r[where] * np.sin(theta[where])
+    r = radius * np.sqrt(u[0])
+    theta = 2.0 * math.pi * u[1]
+    x = np.full(real.shape, np.inf)
+    y = np.full(real.shape, np.inf)
+    x[real] = r * np.cos(theta)
+    y[real] = r * np.sin(theta)
     return x, y
+
+
+def _draw_field(rng: np.random.Generator, mean_enb: float, mean_int: float):
+    """One attempt's station and interferer disc uniforms, (2, n) each, or
+    None when no station falls in the window."""
+    n_b = int(rng.poisson(mean_enb))
+    if n_b == 0:
+        return None
+    stations = rng.random((2, n_b))
+    n_i = int(rng.poisson(mean_int)) if mean_int > 0.0 else 0
+    return stations, rng.random((2, n_i))
 
 
 def _nearest(x: np.ndarray, y: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
@@ -172,7 +182,7 @@ def _nearest(x: np.ndarray, y: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np
 
 
 def contention_outcome(dist: np.ndarray, same_cell: np.ndarray, cfg: ChannelConfig,
-                       n_t: int, mode: InterferenceMode,
+                       mode: InterferenceMode,
                        fading: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Score trials as (transmission success, collision), one entry each.
 
@@ -227,7 +237,7 @@ def interference_horizon(cfg: ChannelConfig, n_t: int, tail_tol: float) -> float
     if lam_da == 0.0:
         return floor
     eps = select_epsilon(lam_da, cfg.lambda_b, cfg.epsilon_override)
-    l = 4 * int(n_t)
+    l = symbol_group_count(n_t)
     s = eps * math.pi * cfg.lambda_b + 2.0 * math.pi * lam_da \
         * cfg.gamma_th ** (2.0 / cfg.alpha) * pgfl_kernel(cfg.alpha, l)
     coef = (2.0 * math.pi * lam_da * l * cfg.gamma_th
@@ -260,18 +270,13 @@ class _OriginSampler:
         return min(devices, self.mean_near)
 
     def draw(self, rng: np.random.Generator):
-        n_b = int(rng.poisson(self.mean_enb))
-        if n_b == 0:
-            return None
-        stations = rng.random((2, n_b))
-        n_i = int(rng.poisson(self.mean_int)) if self.mean_int > 0.0 else 0
-        return stations, rng.random((2, n_i))
+        return _draw_field(rng, self.mean_enb, self.mean_int)
 
     def place(self, draws):
-        sx, sy = _cartesian(*_polar(self.r_enb, [d[0] for d in draws]))
+        sx, sy = _disc_xy(self.r_enb, [d[0] for d in draws])
         serve = np.argmin(np.hypot(sx, sy), axis=1)
         rows = np.arange(len(draws))
-        px, py = _cartesian(*_polar(self.r_int, [d[1] for d in draws], skip=1))
+        px, py = _disc_xy(self.r_int, [d[1] for d in draws], skip=1)
         px[:, 0] = py[:, 0] = 0.0  # the tagged device
         dist = np.hypot(px - sx[rows, serve][:, None], py - sy[rows, serve][:, None])
         # exact membership test only where same-cell is not already impossible
@@ -308,18 +313,14 @@ class _WindowSampler:
         return devices
 
     def draw(self, rng: np.random.Generator):
-        n_b = int(rng.poisson(self.mean_enb))
-        if n_b == 0:
-            return None
-        stations = rng.random((2, n_b))
-        n_i = int(rng.poisson(self.mean_int)) if self.mean_int > 0.0 else 0
-        return stations, rng.random((2, n_i)), rng.random((2, 1))
+        field = _draw_field(rng, self.mean_enb, self.mean_int)
+        # the tagged position is the attempt's last geometry draw
+        return None if field is None else field + (rng.random((2, 1)),)
 
     def place(self, draws):
-        sx, sy = _cartesian(*_polar(self.radius, [d[0] for d in draws]))
-        px, py = _cartesian(*_polar(self.radius, [d[1] for d in draws], skip=1))
-        tagged = _cartesian(*_polar(self.radius, [d[2] for d in draws]))
-        px[:, 0], py[:, 0] = tagged[0][:, 0], tagged[1][:, 0]
+        sx, sy = _disc_xy(self.radius, [d[0] for d in draws])
+        # the tagged device first, as the scorer expects
+        px, py = _disc_xy(self.radius, [np.concatenate((d[2], d[1]), axis=1) for d in draws])
         t, d = np.nonzero(np.isfinite(px))
         assoc = np.full(px.shape, -1)
         assoc[t, d] = _nearest(px[t, d], py[t, d], sx[t], sy[t])
@@ -341,17 +342,17 @@ def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = Inte
 
     Attempt k draws from its own stream SeedSequence((seed, k)); an
     attempt whose geometry is rejected counts as a redraw and is skipped.
-    Attempts run in chunks whose arrays hold about _CHUNK_ELEMENTS values:
-    the raw draws are made one attempt at a time, all that follows them
-    once per chunk.  Each attempt's values depend on its stream alone,
-    attempts drawn past the last one the run needs are discarded, and the
-    redraw budget counts only the attempts before it, so no result
-    depends on where chunks end.
+    The raw draws are made one attempt at a time into a chunk of
+    candidates, all that follows them once per chunk, whose arrays hold
+    about _CHUNK_ELEMENTS values.  A chunk never holds more candidates
+    than the run still needs, so every attempt drawn is one that a
+    one-attempt-at-a-time loop would draw too, and the redraw budget runs
+    out exactly where that loop's would: no result depends on where
+    chunks end.
     """
     settings = settings or SimSettings()
-    if int(n_t) != n_t or n_t < 1:
+    if integer(n_t, "n_t") < 1:
         raise ConfigError("n_t must be a positive integer")
-    n_t = int(n_t)
     if settings.region is None:
         sampler = _OriginSampler(cfg, n_t, settings.tail_tol)
     else:
@@ -360,56 +361,49 @@ def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = Inte
     n = settings.replications
     done = trans = coll = rach = redraws = attempt = 0
     while done < n:
-        need = n - done
-        # attempts for the rest of the run at the acceptance seen so far,
-        # and no more than can run before the redraw budget is spent
-        want = min(need if done == 0 else -(-need * attempt // done),
-                   need + settings.redraw_budget - redraws + 1)
         rngs, draws = [], []
         stations = devices = 0
-        while len(draws) < want:
-            rng = np.random.default_rng(np.random.SeedSequence((settings.seed, attempt + len(draws))))
+        while done + len(draws) < n and redraws <= settings.redraw_budget:
+            rng = np.random.default_rng(np.random.SeedSequence((settings.seed, attempt)))
+            attempt += 1
             draw = sampler.draw(rng)
+            if draw is None:
+                redraws += 1
+                continue
             rngs.append(rng)
             draws.append(draw)
-            if draw is not None:
-                stations = max(stations, draw[0].shape[1])
-                devices = max(devices, draw[1].shape[1] + 1)
-                # arrays at the chunk's widest attempt: about ten of stations,
-                # eight of devices, three of fading and seven of the
-                # membership search's (searcher, station) pairs
-                size = _ATTEMPT_OVERHEAD + 10 * stations + (8 + 12 * n_t) * devices \
-                    + 7 * sampler.searchers(devices) * stations
-                if len(draws) * size >= _CHUNK_ELEMENTS:
-                    break
+            stations = max(stations, draw[0].shape[1])
+            devices = max(devices, draw[1].shape[1] + 1)
+            # arrays at the chunk's widest attempt: about ten of stations,
+            # eight of devices, three of fading and seven of the
+            # membership search's (searcher, station) pairs
+            size = _ATTEMPT_OVERHEAD + 10 * stations \
+                + (8 + 3 * SYMBOL_GROUPS_PER_REPETITION * n_t) * devices \
+                + 7 * sampler.searchers(devices) * stations
+            if len(draws) * size >= _CHUNK_ELEMENTS:
+                break
 
-        placed = [i for i, draw in enumerate(draws) if draw is not None]
-        accepted = np.zeros(len(draws), dtype=bool)
-        if placed:
-            inside, dist, same_cell = sampler.place([draws[i] for i in placed])
-            accepted[placed] = inside
-        hits = np.flatnonzero(accepted)[:need]
-        used = int(hits[-1]) + 1 if hits.size == need else len(draws)
-        redraws += used - hits.size
-        attempt += used
+        # the loop above ends without candidates only on a spent budget
+        if draws:
+            inside, dist, same_cell = sampler.place(draws)
+            redraws += len(draws) - int(inside.sum())
         if redraws > settings.redraw_budget:
             raise ConfigError(f"redraw budget exhausted: {sampler.exhausted}")
-        if hits.size == 0:
+        if not inside.any():
             continue
 
-        rows = np.searchsorted(placed, hits)
-        dist, same_cell = dist[rows], same_cell[rows]
         # fading is each attempt's last draw, one block per real device
-        width = np.isfinite(dist).sum(axis=1)
-        dist, same_cell = dist[:, :width.max()], same_cell[:, :width.max()]
-        fading = np.zeros(dist.shape + (n_t, 4))
-        for row, (i, k) in enumerate(zip(hits.tolist(), width.tolist())):
-            rngs[i].standard_exponential(out=fading[row, :k])
-        transmission, collision = contention_outcome(dist, same_cell, cfg, n_t, mode, fading)
+        width = np.isfinite(dist).sum(axis=1)[inside]
+        dist, same_cell = dist[inside, :width.max()], same_cell[inside, :width.max()]
+        fading = np.zeros(dist.shape + (n_t, SYMBOL_GROUPS_PER_REPETITION))
+        kept = (rng for rng, ok in zip(rngs, inside.tolist()) if ok)
+        for row, (rng, k) in enumerate(zip(kept, width.tolist())):
+            rng.standard_exponential(out=fading[row, :k])
+        transmission, collision = contention_outcome(dist, same_cell, cfg, mode, fading)
         trans += int(transmission.sum())
         coll += int(collision.sum())
         rach += int((transmission & ~collision).sum())
-        done += hits.size
+        done += len(width)
 
     return SimulationSummary(
         transmission=_estimate(trans, n, settings.seed),

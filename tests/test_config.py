@@ -15,8 +15,8 @@ from nbrach.config import (
 from nbrach.energy import BoundMode, EnergyConfig
 from nbrach.errors import ConfigError
 from nbrach.quadrature import QuadratureSettings
-from nbrach.rach import ChannelConfig, InterferenceMode
-from nbrach.simulation import SimSettings
+from nbrach.rach import ChannelConfig, InterferenceMode, preamble_success_prob, symbol_group_count
+from nbrach.simulation import SimSettings, simulate_summary
 
 
 def cfg_from(text: str):
@@ -197,6 +197,18 @@ def test_integer_fields_reject_floats(layer, name):
     with pytest.raises(ConfigError, match=f"{name} must be an integer"):
         layer(**{name: float(default)})
     assert getattr(layer(**{name: np.int64(default)}), name) == default
+
+
+@pytest.mark.parametrize("count", [
+    symbol_group_count,
+    lambda n_t: preamble_success_prob(n_t, ChannelConfig()),
+    lambda n_t: simulate_summary(ChannelConfig(), n_t, settings=SimSettings(replications=10)),
+], ids=["symbol_group_count", "preamble_success_prob", "simulate_summary"])
+def test_repetition_counts_reject_floats(count):
+    # the same rule as the integer config fields: 2.0 is not a count
+    with pytest.raises(ConfigError, match="must be an integer"):
+        count(2.0)
+    count(np.int64(2))
 
 
 def test_with_value_rebuilds_derived_defaults():

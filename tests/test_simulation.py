@@ -57,7 +57,7 @@ def score(dist, same_cell, cfg, mode, seed, tagged=0):
     tagged device moved to the front, where the scorer expects it."""
     fading = np.random.default_rng(seed).exponential(size=(len(dist), 1, 4))
     order = [tagged] + [i for i in range(len(dist)) if i != tagged]
-    trans, coll = contention_outcome(dist[order][None], same_cell[order][None], cfg, 1,
+    trans, coll = contention_outcome(dist[order][None], same_cell[order][None], cfg,
                                      mode, fading[order][None])
     return bool(trans[0]), bool(coll[0])
 
@@ -163,20 +163,21 @@ def test_redraw_budget_boundary():
         simulate_summary(CROWD, 2, settings=replace(settings, redraw_budget=997))
 
 
-@pytest.mark.parametrize("mode, region", [
-    (InterferenceMode.FULL, None),
-    (InterferenceMode.INTRA_CELL_ONLY, None),
-    (InterferenceMode.FULL, Region(4.0)),
-], ids=["origin-full", "origin-intra", "window"])
-def test_summary_chunk_invariant(monkeypatch, mode, region):
+@pytest.mark.parametrize("n_t, mode, settings", [
+    (4, InterferenceMode.FULL, SimSettings(replications=300, seed=107)),
+    (4, InterferenceMode.INTRA_CELL_ONLY, SimSettings(replications=300, seed=107)),
+    (4, InterferenceMode.FULL, SimSettings(replications=300, seed=107, region=Region(4.0))),
+    # the pinned window-long run: its redraws fall across many chunks
+    (2, InterferenceMode.FULL, SimSettings(replications=1201, seed=106, region=Region(4.0))),
+], ids=["origin-full", "origin-intra", "window", "window-long"])
+def test_summary_chunk_invariant(monkeypatch, n_t, mode, settings):
     # one attempt per chunk, the shipped budget, and one chunk per run
-    settings = SimSettings(replications=300, seed=107, region=region)
     runs = []
     for elements in (1, simulation._CHUNK_ELEMENTS, 1 << 40):
         monkeypatch.setattr(simulation, "_CHUNK_ELEMENTS", elements)
-        runs.append(simulate_summary(CROWD, 4, mode, settings))
+        runs.append(simulate_summary(CROWD, n_t, mode, settings))
     assert runs[0] == runs[1] == runs[2]
-    assert runs[0].redraws > 0 or region is None
+    assert runs[0].redraws > 0 or settings.region is None
 
 
 def test_summary_matches_analytics_at_transmission_level():
@@ -186,11 +187,14 @@ def test_summary_matches_analytics_at_transmission_level():
     assert abs(s.transmission.p_hat - truth) <= 3.0 / 1.96 * s.transmission.ci_halfwidth
 
 
-def test_summary_single_repetition_identity():
+@pytest.mark.parametrize("mode", list(InterferenceMode), ids=lambda m: m.value)
+def test_summary_single_repetition_identity(mode):
     # gamma >= 1 forbids a same-cell contender succeeding alongside the
     # tagged device within the lone repetition: random access equals
-    # transmission success trial by trial
-    s = simulate_summary(DESK, 1, settings=SimSettings(replications=800, seed=5))
+    # transmission success trial by trial, though contenders do collide
+    crowded = ChannelConfig(lambda_b=1.0, lambda_d=30_000.0, a_a=0.015, gamma_th=10 ** 0.5)
+    s = simulate_summary(crowded, 1, mode, SimSettings(replications=800, seed=5))
+    assert s.collision_rate > 0.0
     assert s.rach.p_hat == s.transmission.p_hat
 
 
