@@ -79,7 +79,7 @@ class EnergyConfig:
             raise ConfigError("p must be positive")
         if not (self.e0_ra > 0.0):
             raise ConfigError("e0_ra must be positive")
-        if self.e0_da < 0.0:
+        if not (self.e0_da >= 0.0):
             raise ConfigError("e0_da must be non-negative")
         if integer(self.m0, "m0") < 1:
             raise ConfigError("m0 must be a positive integer")
@@ -130,6 +130,16 @@ def depletion_rate(cfg: EnergyConfig) -> float:
     return cfg.a_a * cfg.p / unit
 
 
+def _chain_capacity(mu0: float, nu0: float, capacity: int) -> int:
+    """`capacity` as an int, once the chain's rates and capacity are valid."""
+    capacity = integer(capacity, "capacity")
+    if capacity < 1:
+        raise ConfigError("capacity must be at least 1")
+    if not (mu0 > 0.0 and nu0 > 0.0):
+        raise ConfigError("rates must be positive")
+    return capacity
+
+
 def generator_matrix(mu0: float, nu0: float, capacity: int, exact: bool = False) -> np.ndarray:
     """Generator of the ON-phase birth-death chain on levels 0..capacity.
 
@@ -137,17 +147,10 @@ def generator_matrix(mu0: float, nu0: float, capacity: int, exact: bool = False)
     nu0, the full battery only drains.  Rows sum to zero.  With exact=True
     the matrix is built from Fractions of the given rates (object dtype).
     """
-    if capacity < 1:
-        raise ConfigError("capacity must be at least 1")
-    if not (mu0 > 0.0 and nu0 > 0.0):
-        raise ConfigError("rates must be positive")
-    if exact:
-        mu, nu = Fraction(mu0), Fraction(nu0)
-        q = np.zeros((capacity + 1, capacity + 1), dtype=object)
-        q[:] = Fraction(0)
-    else:
-        mu, nu = mu0, nu0
-        q = np.zeros((capacity + 1, capacity + 1))
+    capacity = _chain_capacity(mu0, nu0, capacity)
+    num = Fraction if exact else float
+    mu, nu = num(mu0), num(nu0)
+    q = np.full((capacity + 1, capacity + 1), num(0), dtype=object if exact else float)
     q[0, 0] = -mu
     q[0, 1] = mu
     for m in range(1, capacity):
@@ -167,10 +170,7 @@ def neg_B_inverse(mu0: float, nu0: float, capacity: int, exact: bool = False) ->
     level 0 from level m.  With exact=True everything is computed in
     rational arithmetic on the binary values of the rates.
     """
-    if capacity < 1:
-        raise ConfigError("capacity must be at least 1")
-    if not (mu0 > 0.0 and nu0 > 0.0):
-        raise ConfigError("rates must be positive")
+    capacity = _chain_capacity(mu0, nu0, capacity)
     num = Fraction if exact else float
     rho, inv_nu = num(mu0) / num(nu0), 1 / num(nu0)
     # With S_j = sum_{i<j} rho^i, entry (m, n) = rho^max(n-m, 0) S_min(m,n) / nu0:
@@ -197,10 +197,7 @@ def hitting_times_solve(mu0: float, nu0: float, capacity: int) -> np.ndarray:
     componentwise stable for any rate ratio (a pivoted LU from the other
     end loses the solution entirely for mu0 >> nu0).
     """
-    if capacity < 1:
-        raise ConfigError("capacity must be at least 1")
-    if not (mu0 > 0.0 and nu0 > 0.0):
-        raise ConfigError("rates must be positive")
+    capacity = _chain_capacity(mu0, nu0, capacity)
     d = np.empty(capacity)
     d[-1] = 1.0 / nu0
     for m in range(capacity - 2, -1, -1):
@@ -216,14 +213,13 @@ def mean_on_time(mu0: float, nu0: float, capacity: int, start_level: int) -> flo
     when the rate ratio is large, and falls back to the linear solve inside
     the singular band around mu0 == nu0.
     """
-    if not (1 <= start_level <= capacity):
+    capacity = _chain_capacity(mu0, nu0, capacity)
+    m = integer(start_level, "start_level")
+    if not (1 <= m <= capacity):
         raise ConfigError("start_level must lie in [1, capacity]")
-    if not (mu0 > 0.0 and nu0 > 0.0):
-        raise ConfigError("rates must be positive")
     rho = mu0 / nu0
     if abs(rho - 1.0) < RATE_RATIO_SINGULAR_BAND:
-        return float(hitting_times_solve(mu0, nu0, capacity)[start_level - 1])
-    m = start_level
+        return float(hitting_times_solve(mu0, nu0, capacity)[m - 1])
     if rho < 1.0:
         head = rho ** (capacity - m + 1) * (rho ** m - 1.0) / (rho - 1.0)
         return (head - m) / (nu0 * (rho - 1.0))

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -83,11 +82,11 @@ class ChannelConfig:
             raise ConfigError("gamma_th must be positive (linear scale)")
         if not (self.p > 0.0):
             raise ConfigError("p must be positive")
-        if self.sigma2 < 0.0:
+        if not (self.sigma2 >= 0.0):
             raise ConfigError("sigma2 must be non-negative")
         if not (self.lambda_b > 0.0):
             raise ConfigError("lambda_b must be positive")
-        if self.lambda_d < 0.0:
+        if not (self.lambda_d >= 0.0):
             raise ConfigError("lambda_d must be non-negative")
         if not (0.0 < self.a_a <= 1.0):
             raise ConfigError("a_a must lie in (0, 1]")
@@ -117,9 +116,10 @@ def symbol_group_count(n_reps: int) -> int:
 
 
 def _check_symbol_groups(l: int) -> int:
-    if int(l) != l or l < SYMBOL_GROUPS_PER_REPETITION or l % SYMBOL_GROUPS_PER_REPETITION:
+    l = integer(l, "l")
+    if l < SYMBOL_GROUPS_PER_REPETITION or l % SYMBOL_GROUPS_PER_REPETITION:
         raise ConfigError(f"l={l} must be a positive multiple of {SYMBOL_GROUPS_PER_REPETITION}")
-    return int(l)
+    return l
 
 
 def active_density(cfg: ChannelConfig) -> float:
@@ -136,16 +136,17 @@ def select_epsilon(lambda_da: float, lambda_b: float,
     density ratio 1; an explicit override wins."""
     if override is not None:
         return float(override)
-    if lambda_b <= 0.0:
+    if not (lambda_b > 0.0):
         raise ConfigError("lambda_b must be positive")
     return 1.25 if lambda_da / lambda_b > 1.0 else 1.0
 
 
-def _kernel_integrand(alpha: float, l: int):
-    """Scaled interference kernel g(u) = (1 - (1 + u^-alpha)^-l) u.
+def _kernel_integral(alpha: float, l: int, upper: float, q: QuadratureSettings) -> float:
+    """Integral over [0, upper] of the scaled interference kernel
+    g(u) = (1 - (1 + u^-alpha)^-l) u.
 
-    Written through expm1/log1p so the far tail (g ~ l u^(1-alpha)) keeps
-    relative accuracy instead of cancelling against 1.
+    g is written through expm1/log1p so the far tail (g ~ l u^(1-alpha))
+    keeps relative accuracy instead of cancelling against 1.
     """
     def g(u: float) -> float:
         if u <= 0.0:
@@ -154,12 +155,8 @@ def _kernel_integrand(alpha: float, l: int):
         if log_x > 700.0:
             return u
         return -math.expm1(-l * math.log1p(math.exp(log_x))) * u
-    return g
 
-
-@lru_cache(maxsize=256)
-def _pgfl_kernel_cached(alpha: float, l: int, settings: QuadratureSettings) -> float:
-    value, _ = improper_integral(_kernel_integrand(alpha, l), 0.0, np.inf, settings)
+    value, _ = improper_integral(g, 0.0, upper, q)
     return value
 
 
@@ -167,10 +164,10 @@ def pgfl_kernel(alpha: float, l: int, settings: QuadratureSettings | None = None
     """Distance-free part of the unbounded-field interference exponent.
 
     The exponent at serving distance r0 is 2 pi lambda_Da gamma_th^(2/alpha)
-    r0^2 times this kernel, so one cached quadrature serves every distance.
+    r0^2 times this kernel.
     """
-    _check_symbol_groups(l)
-    return _pgfl_kernel_cached(float(alpha), int(l), settings or QuadratureSettings())
+    return _kernel_integral(alpha, _check_symbol_groups(l), np.inf,
+                            settings or QuadratureSettings())
 
 
 def pgfl_exponent(r0: float, l: int, cfg: ChannelConfig,
@@ -185,7 +182,7 @@ def pgfl_exponent(r0: float, l: int, cfg: ChannelConfig,
     """
     q = settings or QuadratureSettings()
     l = _check_symbol_groups(l)
-    if r0 < 0.0:
+    if not (r0 >= 0.0):
         raise ConfigError("r0 must be non-negative")
     if r0 == 0.0:
         return 0.0
@@ -199,8 +196,7 @@ def pgfl_exponent(r0: float, l: int, cfg: ChannelConfig,
         raise ConfigError("mode must be an InterferenceMode")
     cell_radius = 1.0 / math.sqrt(math.pi * cfg.lambda_b)
     upper = cell_radius / (r0 * cfg.gamma_th ** (1.0 / cfg.alpha))
-    value, _ = improper_integral(_kernel_integrand(cfg.alpha, l), 0.0, upper, q)
-    return scale * value
+    return scale * _kernel_integral(cfg.alpha, l, upper, q)
 
 
 def _probability(value: float, q: QuadratureSettings, what: str) -> float:
@@ -255,8 +251,7 @@ def preamble_success_prob(n_t: int, cfg: ChannelConfig,
     groups through, by inclusion-exclusion over the joint laws (repetitions
     share the interferer positions, so they are dependent)."""
     q = settings or QuadratureSettings()
-    if integer(n_t, "n_t") < 1:
-        raise ConfigError("n_t must be a positive integer")
+    symbol_group_count(n_t)
     if n_t > MAX_ANALYTIC_REPETITIONS:
         raise ConfigError(
             f"analytic inclusion-exclusion is limited to n_t <= {MAX_ANALYTIC_REPETITIONS}")
@@ -273,9 +268,9 @@ def cell_load_pmf(n, lambda_da: float, lambda_b: float):
     in the log-gamma domain.  Vectorises over n."""
     from scipy.special import gammaln  # imported on use: scipy dominates start-up
 
-    if lambda_b <= 0.0:
+    if not (lambda_b > 0.0):
         raise ConfigError("lambda_b must be positive")
-    if lambda_da < 0.0:
+    if not (lambda_da >= 0.0):
         raise ConfigError("lambda_da must be non-negative")
     n_arr = np.asarray(n)
     if not np.issubdtype(n_arr.dtype, np.integer):

@@ -108,7 +108,7 @@ class SimSettings:
             raise ConfigError("replications must be a positive integer")
         if integer(self.seed, "seed") < 0:
             raise ConfigError("seed must be a non-negative integer")
-        if self.guard is not None and self.guard < 0.0:
+        if self.guard is not None and not (self.guard >= 0.0):
             raise ConfigError("guard must be non-negative")
         if not (0.0 < self.tail_tol < 1.0):
             raise ConfigError("tail_tol must lie in (0, 1)")
@@ -351,8 +351,7 @@ def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = Inte
     chunks end.
     """
     settings = settings or SimSettings()
-    if integer(n_t, "n_t") < 1:
-        raise ConfigError("n_t must be a positive integer")
+    symbol_group_count(n_t)
     if settings.region is None:
         sampler = _OriginSampler(cfg, n_t, settings.tail_tol)
     else:

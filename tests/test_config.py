@@ -1,6 +1,9 @@
 """Tests for the key = value configuration layer: parsing, units,
 derived defaults and canonical rendering."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -12,11 +15,26 @@ from nbrach.config import (
     parse_config_text,
     with_value,
 )
-from nbrach.energy import BoundMode, EnergyConfig
+from nbrach.energy import (
+    BoundMode,
+    EnergyConfig,
+    generator_matrix,
+    hitting_times_solve,
+    mean_on_time,
+    neg_B_inverse,
+)
 from nbrach.errors import ConfigError
 from nbrach.quadrature import QuadratureSettings
-from nbrach.rach import ChannelConfig, InterferenceMode, preamble_success_prob, symbol_group_count
-from nbrach.simulation import SimSettings, simulate_summary
+from nbrach.rach import (
+    ChannelConfig,
+    InterferenceMode,
+    joint_symbol_success,
+    pgfl_exponent,
+    pgfl_kernel,
+    preamble_success_prob,
+    symbol_group_count,
+)
+from nbrach.simulation import Region, SimSettings, simulate_summary
 
 
 def cfg_from(text: str):
@@ -199,13 +217,38 @@ def test_integer_fields_reject_floats(layer, name):
     assert getattr(layer(**{name: np.int64(default)}), name) == default
 
 
+@pytest.mark.parametrize("layer, name", [
+    (layer, f.name) for layer in (ChannelConfig, EnergyConfig, SimSettings,
+                                  QuadratureSettings, Region)
+    for f in dataclasses.fields(layer) if "float" in f.type
+])
+def test_float_fields_reject_nan(layer, name):
+    # a sign check written `x < 0.0` lets NaN through
+    kw = {"radius": 1.0} if layer is Region else {}
+    with pytest.raises(ConfigError, match=name):
+        layer(**{**kw, name: math.nan})
+
+
 @pytest.mark.parametrize("count", [
     symbol_group_count,
     lambda n_t: preamble_success_prob(n_t, ChannelConfig()),
     lambda n_t: simulate_summary(ChannelConfig(), n_t, settings=SimSettings(replications=10)),
-], ids=["symbol_group_count", "preamble_success_prob", "simulate_summary"])
+    lambda n: pgfl_kernel(4.0, 4 * n),
+    lambda n: pgfl_exponent(0.5, 4 * n, ChannelConfig()),
+    lambda n: joint_symbol_success(4 * n, ChannelConfig()),
+    lambda n: generator_matrix(0.1, 0.2, n + 1),
+    lambda n: neg_B_inverse(0.1, 0.2, n + 1),
+    lambda n: hitting_times_solve(0.1, 0.2, n + 1),
+    lambda n: mean_on_time(0.1, 0.2, n + 1, 1),
+    lambda n: mean_on_time(0.1, 0.2, 4, n),
+    lambda n: mean_on_time(0.2, 0.2, 4, n),
+], ids=["symbol_group_count", "preamble_success_prob", "simulate_summary",
+        "pgfl_kernel", "pgfl_exponent", "joint_symbol_success",
+        "generator_matrix", "neg_B_inverse", "hitting_times_solve", "mean_on_time",
+        "start_level", "start_level-singular"])
 def test_repetition_counts_reject_floats(count):
-    # the same rule as the integer config fields: 2.0 is not a count
+    # the same rule as the integer config fields: 2.0 is not a count, nor
+    # are 8.0 symbol groups, a capacity of 3.0 quanta or a start level of 2.0
     with pytest.raises(ConfigError, match="must be an integer"):
         count(2.0)
     count(np.int64(2))

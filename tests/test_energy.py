@@ -249,10 +249,11 @@ def test_chain_spends_exact_budget(budget):
 
 @pytest.mark.parametrize("mu0", [0.5, 0.2])
 def test_chain_harvest_outpaces_drain(mu0):
-    # rho = mu0/nu0 > 1: at the default seed the first ON phase never
-    # empties, so the whole budget is one cut ON phase
+    # rho = mu0/nu0 > 1: starting at n_t = 128 quanta the first ON phase
+    # never empties on any stream tried, so the whole budget is one cut ON
+    # phase (from n_t = 1 it empties early on most streams)
     t0 = time.perf_counter()
-    est = simulate_energy_chain(EnergyConfig(mu0=mu0), num_transitions=1_000_000)
+    est = simulate_energy_chain(EnergyConfig(mu0=mu0, n_t=128), num_transitions=1_000_000)
     assert time.perf_counter() - t0 < 5.0
     assert (est.eta_hat, est.cycles, est.se) == (1.0, 0, math.inf)
     assert est.transitions == 1_000_000

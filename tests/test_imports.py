@@ -2,7 +2,6 @@
 public name has a caller, and launches that need no scipy load none."""
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -25,9 +24,7 @@ def test_cli_import_loads_no_scipy():
     # scipy is imported where a quadrature or log-gamma is evaluated, so a
     # launch that needs neither does not pay for it
     code = "import sys, nbrach.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
 
@@ -69,9 +66,7 @@ def test_closed_form_presets_load_no_scipy(tmp_path):
         f" '--out', {str(tmp_path / 'b.csv')!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
     assert (tmp_path / "a.csv").stat().st_size > 0 and (tmp_path / "b.csv").stat().st_size > 0

@@ -237,6 +237,19 @@ def test_cell_load_empty_field():
     assert cell_load_pmf(3, 0.0, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("call", [
+    lambda: select_epsilon(1.0, math.nan),
+    lambda: cell_load_pmf(0, 0.1, math.nan),
+    lambda: cell_load_pmf(0, math.nan, 0.1),
+    lambda: pgfl_exponent(math.nan, 8, DESK),
+], ids=["select_epsilon-lambda_b", "cell_load_pmf-lambda_b", "cell_load_pmf-lambda_da",
+        "pgfl_exponent-r0"])
+def test_sign_checks_reject_nan(call):
+    # written `x < 0.0`, a sign check returns 1.0 or NaN for a NaN input
+    with pytest.raises(ConfigError, match="must be"):
+        call()
+
+
 def test_cell_load_requires_integers():
     with pytest.raises(ConfigError):
         cell_load_pmf(np.array([0.5]), 0.1, 0.1)

@@ -1,6 +1,5 @@
 """Tests for the sweep engine and the command-line front end."""
 
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -310,12 +309,10 @@ def test_sweep_demo_runs():
     # each demo drives the public API end to end; simulation_crosscheck_demo.py
     # is left out for its runtime (several seconds), and test_simulation.py
     # covers the estimator it drives
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     for demo, marker in [("availability_demo.py", "event-driven cross-check"),
                          ("rach_curves_demo.py", "inclusion-exclusion"),
                          ("sweep_demo.py", "identical: True")]:
         proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True)
         assert proc.returncode == 0, f"{demo}: {proc.stderr}"
         assert marker in proc.stdout, demo
