@@ -324,7 +324,7 @@ def simulate_energy_chain(cfg: EnergyConfig, num_transitions: int = 1_000_000,
     regenerative standard error comes from the completed (ON, OFF) pairs.
     Deterministic for a fixed seed.
     """
-    if num_transitions < 1:
+    if integer(num_transitions, "num_transitions") < 1:
         raise ConfigError("num_transitions must be positive")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE4E26)))
     mu = cfg.mu0

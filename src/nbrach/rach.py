@@ -8,8 +8,9 @@ device in the same cell pushes the same preamble through simultaneously.
 
 The analytics average over Rayleigh fading per symbol group, a Poisson
 field of interferers on the same preamble, and the load of the serving
-cell.  Everything reduces to one-dimensional integrals plus a discrete
-cell-load sum.
+cell.  Each joint success is one quadrature over the serving distance (the
+unbounded kernel adds one per call; the cell-truncated one is closed-form),
+plus a discrete cell-load sum.
 """
 
 from __future__ import annotations
@@ -141,13 +142,13 @@ def select_epsilon(lambda_da: float, lambda_b: float,
     return 1.25 if lambda_da / lambda_b > 1.0 else 1.0
 
 
-def _kernel_integral(alpha: float, l: int, upper: float, q: QuadratureSettings) -> float:
-    """Integral over [0, upper] of the scaled interference kernel
-    g(u) = (1 - (1 + u^-alpha)^-l) u.
+def pgfl_kernel(alpha: float, l: int, settings: QuadratureSettings | None = None) -> float:
+    """Distance-free part of the unbounded-field interference exponent: the
+    integral over [0, inf) of g(u) = (1 - (1 + u^-alpha)^-l) u, scaled by
+    2 pi lambda_Da gamma_th^(2/alpha) r0^2 at serving distance r0.  g goes
+    through expm1/log1p so its tail (~ l u^(1-alpha)) keeps relative accuracy."""
+    l = _check_symbol_groups(l)
 
-    g is written through expm1/log1p so the far tail (g ~ l u^(1-alpha))
-    keeps relative accuracy instead of cancelling against 1.
-    """
     def g(u: float) -> float:
         if u <= 0.0:
             return 0.0
@@ -156,18 +157,44 @@ def _kernel_integral(alpha: float, l: int, upper: float, q: QuadratureSettings) 
             return u
         return -math.expm1(-l * math.log1p(math.exp(log_x))) * u
 
-    value, _ = improper_integral(g, 0.0, upper, q)
+    value, _ = improper_integral(g, 0.0, np.inf, settings or QuadratureSettings())
     return value
 
 
-def pgfl_kernel(alpha: float, l: int, settings: QuadratureSettings | None = None) -> float:
-    """Distance-free part of the unbounded-field interference exponent.
+def _truncated_kernel(alpha: float, l: int):
+    """pgfl_kernel's integral over [0, U] instead, in closed form, as a
+    function of U.  With delta = 2/alpha and X = U^alpha / (1 + U^alpha) it is
+    (delta/2) sum_{j<l} B_X(j + delta, 1 - delta); the upward recurrence of
+    the incomplete beta function (DLMF 8.17.20) sums that to
+    (delta/2) [Q_l B_0 - X^delta (1-X)^(1-delta) sum_{i<l-1} w_i X^i], where
+    P_j = Gamma(j + delta) / (Gamma(delta) j!), Q_k = sum_{j<k} P_j and
+    w_i = (Q_l - Q_{i+1}) / ((i + 1) P_{i+1}) > 0 are built once per call."""
+    from scipy.special import beta, betainc  # imported on use: scipy dominates start-up
 
-    The exponent at serving distance r0 is 2 pi lambda_Da gamma_th^(2/alpha)
-    r0^2 times this kernel.
-    """
-    return _kernel_integral(alpha, _check_symbol_groups(l), np.inf,
-                            settings or QuadratureSettings())
+    d = 2.0 / alpha
+    j = np.arange(1, l)
+    p = np.cumprod((j - 1.0 + d) / j)  # P_1 .. P_{l-1}; P_0 = 1
+    tails = np.cumsum(p[::-1])[::-1]   # Q_l - Q_{i+1}, summed without cancellation
+    q_l, w, powers, b_full = 1.0 + tails[0], tails / (j * p), np.arange(l - 1.0), beta(d, 1.0 - d)
+
+    def kernel(upper: float) -> float:
+        log_ua = alpha * math.log(upper)  # X and 1 - X without cancellation or overflow
+        e = math.exp(-abs(log_ua))
+        s = 1.0 / (1.0 + e)
+        x, x_c = (s, e * s) if log_ua > 0.0 else (e * s, s)
+        # B_0 from the regularised function on the side where it does not round to 1
+        b_0 = b_full * (betainc(d, 1.0 - d, x) if x < 0.5 else 1.0 - betainc(1.0 - d, d, x_c))
+        return 0.5 * d * (q_l * b_0 - x ** d * x_c ** (1.0 - d) * (w @ x ** powers))
+
+    return kernel
+
+
+def _cell_exponent(l: int, cfg: ChannelConfig):
+    """pgfl_exponent's INTRA_CELL_ONLY value as a function of r0 > 0."""
+    kernel = _truncated_kernel(cfg.alpha, l)
+    coef = 2.0 * math.pi * active_density(cfg) * cfg.gamma_th ** (2.0 / cfg.alpha)
+    reach = 1.0 / (math.sqrt(math.pi * cfg.lambda_b) * cfg.gamma_th ** (1.0 / cfg.alpha))
+    return lambda r0: coef * r0 * r0 * kernel(reach / r0)
 
 
 def pgfl_exponent(r0: float, l: int, cfg: ChannelConfig,
@@ -178,25 +205,20 @@ def pgfl_exponent(r0: float, l: int, cfg: ChannelConfig,
 
     FULL integrates the same-preamble field over the whole plane;
     INTRA_CELL_ONLY truncates it at the average cell radius
-    1/sqrt(pi lambda_b), which makes the integral distance-dependent.
+    1/sqrt(pi lambda_b), which makes the kernel distance-dependent.
     """
-    q = settings or QuadratureSettings()
     l = _check_symbol_groups(l)
-    if not (r0 >= 0.0):
-        raise ConfigError("r0 must be non-negative")
-    if r0 == 0.0:
-        return 0.0
+    if not (0.0 <= r0 < math.inf):
+        raise ConfigError("r0 must be a finite non-negative distance")
     lam_da = active_density(cfg)
-    if lam_da == 0.0:
+    if r0 == 0.0 or lam_da == 0.0:
         return 0.0
-    scale = 2.0 * math.pi * lam_da * cfg.gamma_th ** (2.0 / cfg.alpha) * r0 * r0
     if mode is InterferenceMode.FULL:
-        return scale * pgfl_kernel(cfg.alpha, l, q)
+        return (2.0 * math.pi * lam_da * cfg.gamma_th ** (2.0 / cfg.alpha) * r0 * r0
+                * pgfl_kernel(cfg.alpha, l, settings))
     if mode is not InterferenceMode.INTRA_CELL_ONLY:
         raise ConfigError("mode must be an InterferenceMode")
-    cell_radius = 1.0 / math.sqrt(math.pi * cfg.lambda_b)
-    upper = cell_radius / (r0 * cfg.gamma_th ** (1.0 / cfg.alpha))
-    return scale * _kernel_integral(cfg.alpha, l, upper, q)
+    return _cell_exponent(l, cfg)(r0)
 
 
 def _probability(value: float, q: QuadratureSettings, what: str) -> float:
@@ -225,18 +247,20 @@ def joint_symbol_success(l: int, cfg: ChannelConfig,
     half_alpha = cfg.alpha / 2.0
 
     if mode is InterferenceMode.FULL:
-        slope = s_dist + 2.0 * math.pi * lam_da * cfg.gamma_th ** (2.0 / cfg.alpha) \
-            * pgfl_kernel(cfg.alpha, l, q)
+        # the unbounded-field exponent is linear in t: its slope is the
+        # exponent at r0 = 1
+        slope = s_dist + pgfl_exponent(1.0, l, cfg, mode, q)
 
         def integrand(t: float) -> float:
             return s_dist * math.exp(-slope * t - noise_coef * t ** half_alpha)
     elif mode is InterferenceMode.INTRA_CELL_ONLY:
+        exponent = _cell_exponent(l, cfg)
+
         def integrand(t: float) -> float:
             if t <= 0.0:
                 return s_dist
-            r0 = math.sqrt(t)
-            expo = pgfl_exponent(r0, l, cfg, InterferenceMode.INTRA_CELL_ONLY, q)
-            return s_dist * math.exp(-s_dist * t - noise_coef * t ** half_alpha - expo)
+            return s_dist * math.exp(-s_dist * t - noise_coef * t ** half_alpha
+                                     - exponent(math.sqrt(t)))
     else:
         raise ConfigError("mode must be an InterferenceMode")
 

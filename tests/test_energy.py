@@ -307,3 +307,11 @@ def test_chain_matches_event_loop_in_law(mu0, n_t, m0, budget):
 def test_chain_validation():
     with pytest.raises(ConfigError):
         simulate_energy_chain(EnergyConfig(), num_transitions=0)
+
+
+@pytest.mark.parametrize("budget", [1e5, math.nan], ids=["float", "nan"])
+def test_chain_budget_must_be_integer(budget):
+    # a float budget once ran and reported a float transition count; a NaN
+    # one died inside the walk with a bare ValueError
+    with pytest.raises(ConfigError, match="num_transitions must be an integer"):
+        simulate_energy_chain(EnergyConfig(), num_transitions=budget)

@@ -11,7 +11,7 @@ from scipy.special import gammaln
 
 from nbrach import rach
 from nbrach.errors import ConfigError, NumericError
-from nbrach.quadrature import QuadratureSettings
+from nbrach.quadrature import QuadratureSettings, improper_integral
 from nbrach.rach import (
     ChannelConfig,
     InterferenceMode,
@@ -65,6 +65,39 @@ def test_kernel_rejects_bad_group_count():
     assert symbol_group_count(8) == 32
 
 
+def truncated_kernel_quad(alpha: float, l: int, upper: float) -> float:
+    # 34-digit quadrature of the kernel integrand over [0, upper], split at
+    # every decade so each piece is smooth
+    with mp.workdps(34):
+        a = mp.mpf(alpha)
+        g = lambda u: -mp.expm1(-l * mp.log1p(u ** -a)) * u if u > 0 else mp.mpf(0)
+        cuts = [mp.mpf(10) ** k for k in range(-6, 7) if 10.0 ** k < upper]
+        return float(mp.quad(g, [0] + cuts + [mp.mpf(upper)]))
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 5.0])
+@pytest.mark.parametrize("l", [4, 32, 128])
+def test_truncated_kernel_against_mpmath(alpha, l):
+    kernel = rach._truncated_kernel(alpha, l)
+    for upper in (1e-4, 0.1, 1.0, 10.0, 1e5):
+        assert kernel(upper) == pytest.approx(truncated_kernel_quad(alpha, l, upper),
+                                              rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("l", [4, 8, 16, 64, 128])
+def test_truncated_kernel_unbounded_limit(alpha, l):
+    # at U = inf the sum is the Gamma ratio; kernel_oracle's log-gamma
+    # difference itself carries ~1.5e-13 at l = 128
+    kernel = rach._truncated_kernel(alpha, l)
+    with mp.workdps(30):
+        d = mp.mpf(2) / alpha
+        exact = float(mp.gamma(1 - d) * mp.gamma(l + d) / (2 * mp.gamma(l)))
+    assert kernel(math.inf) == pytest.approx(exact, rel=1e-14)
+    assert kernel(math.inf) == pytest.approx(kernel_oracle(alpha, l), rel=5e-13)
+    assert kernel(1e200) == kernel(math.inf)
+
+
 def test_exponent_modes():
     cfg = DESK
     full = pgfl_exponent(0.5, 4, cfg, InterferenceMode.FULL)
@@ -73,6 +106,20 @@ def test_exponent_modes():
     assert pgfl_exponent(0.0, 4, cfg) == 0.0
     empty = ChannelConfig(lambda_b=1.0, lambda_d=0.0)
     assert pgfl_exponent(0.5, 4, empty) == 0.0
+    with pytest.raises(ConfigError, match="finite"):
+        pgfl_exponent(math.inf, 4, cfg, InterferenceMode.INTRA_CELL_ONLY)
+
+
+def test_exponent_intra_is_scaled_truncated_kernel():
+    # INTRA_CELL_ONLY truncates the field at the mean cell radius, which
+    # bounds the kernel at U = R / (r0 gamma_th^(1/alpha))
+    cfg = ChannelConfig(lambda_b=1.0, lambda_d=1000.0, alpha=3.0)
+    r0 = 0.3
+    upper = 1.0 / (math.sqrt(math.pi) * r0 * cfg.gamma_th ** (1.0 / 3.0))
+    want = (2.0 * math.pi * active_density(cfg) * cfg.gamma_th ** (2.0 / 3.0) * r0 * r0
+            * truncated_kernel_quad(3.0, 8, upper))
+    got = pgfl_exponent(r0, 8, cfg, InterferenceMode.INTRA_CELL_ONLY)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_exponent_full_closed_form():
@@ -124,6 +171,22 @@ def test_joint_success_no_contenders():
     cfg = ChannelConfig(lambda_b=1.0, lambda_d=0.0)
     # only thermal noise at desk scale: essentially certain
     assert joint_symbol_success(4, cfg) > 0.999
+
+
+@pytest.mark.parametrize("l", [4, 128])
+def test_joint_success_intra_is_one_quadrature(monkeypatch, l):
+    # the cell-truncated kernel is closed-form, so only the outer integral
+    # over the serving distance is a quadrature
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return improper_integral(*args)
+
+    monkeypatch.setattr(rach, "improper_integral", counting)
+    value = joint_symbol_success(l, DESK, InterferenceMode.INTRA_CELL_ONLY)
+    assert len(calls) == 1
+    assert 0.0 < value < 1.0
 
 
 def test_joint_success_intra_dominates_full():
@@ -180,7 +243,8 @@ def test_preamble_rejects_large_repetition_count():
 ])
 def test_probabilities_clamped_within_abs_tol(monkeypatch, value, expected):
     # within abs_tol of [0, 1] a value is clamped; beyond it, or NaN, it is
-    # a NumericError (INTRA mode: no cached kernel sees the patched integral)
+    # a NumericError (INTRA mode: the outer integral is its only quadrature,
+    # so the patched value is the joint success itself)
     monkeypatch.setattr(rach, "improper_integral", lambda *args: (value, 0.0))
     joint = lambda: joint_symbol_success(4, DESK, InterferenceMode.INTRA_CELL_ONLY)
     monkeypatch.setattr(rach, "joint_symbol_success", lambda *args: value)
