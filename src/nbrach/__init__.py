@@ -40,7 +40,6 @@ from .rach import (
     cell_load_pmf,
     cell_load_truncation,
     joint_symbol_success,
-    pgfl_exponent,
     pgfl_kernel,
     preamble_success_prob,
     rach_success_detail,
@@ -111,7 +110,6 @@ __all__ = [
     "neg_B_inverse",
     "parse_config_text",
     "parse_csv",
-    "pgfl_exponent",
     "pgfl_kernel",
     "preamble_success_prob",
     "rach_success_detail",

@@ -71,16 +71,16 @@ class EnergyConfig:
     enforce_standard_repetitions: bool = True
 
     def __post_init__(self):
-        if not (self.mu0 > 0.0):
-            raise ConfigError("mu0 must be positive")
+        if not (0.0 < self.mu0 < math.inf):
+            raise ConfigError("mu0 must be positive and finite")
         if not (0.0 < self.a_a <= 1.0):
             raise ConfigError("a_a must lie in (0, 1]")
-        if not (self.p > 0.0):
-            raise ConfigError("p must be positive")
-        if not (self.e0_ra > 0.0):
-            raise ConfigError("e0_ra must be positive")
-        if not (self.e0_da >= 0.0):
-            raise ConfigError("e0_da must be non-negative")
+        if not (0.0 < self.p < math.inf):
+            raise ConfigError("p must be positive and finite")
+        if not (0.0 < self.e0_ra < math.inf):
+            raise ConfigError("e0_ra must be positive and finite")
+        if not (0.0 <= self.e0_da < math.inf):
+            raise ConfigError("e0_da must be non-negative and finite")
         if integer(self.m0, "m0") < 1:
             raise ConfigError("m0 must be a positive integer")
         if not (1 <= integer(self.n_t, "n_t") <= self.m0):

@@ -2,8 +2,8 @@
 
 Thin wrapper around QUADPACK that turns silent accuracy loss into a
 QuadratureError and normalises the tolerance contract: on success the
-returned error estimate is at most rel_tol*|value| + abs_tol.  Semi-infinite
-domains go through QUADPACK's rational map of (0, 1] onto [a, inf).
+returned error estimate is at most rel_tol*|value| + abs_tol.  The one
+domain, the half line [0, inf), goes through QUADPACK's rational map of (0, 1].
 """
 
 from __future__ import annotations
@@ -26,19 +26,18 @@ class QuadratureSettings:
     pmf_tail_mass: float = 1e-8
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0):
-            raise ConfigError("rel_tol must be positive")
-        if not (self.abs_tol > 0.0):
-            raise ConfigError("abs_tol must be positive")
+        if not (0.0 < self.rel_tol < np.inf):
+            raise ConfigError("rel_tol must be positive and finite")
+        if not (0.0 < self.abs_tol < np.inf):
+            raise ConfigError("abs_tol must be positive and finite")
         if integer(self.max_subdivisions, "max_subdivisions") < 10:
             raise ConfigError("max_subdivisions must be at least 10")
         if not (0.0 < self.pmf_tail_mass < 1e-2):
             raise ConfigError("pmf_tail_mass must lie in (0, 1e-2)")
 
 
-def improper_integral(func, lower: float, upper: float,
-                      settings: QuadratureSettings | None = None) -> tuple[float, float]:
-    """Integrate func over [lower, upper], upper may be numpy.inf.
+def improper_integral(func, settings: QuadratureSettings | None = None) -> tuple[float, float]:
+    """Integrate func over the half line [0, inf).
 
     Returns (value, error_estimate).  Raises QuadratureError with the best
     estimate attached when the adaptive scheme cannot meet the tolerance.
@@ -46,15 +45,10 @@ def improper_integral(func, lower: float, upper: float,
     from scipy import integrate  # imported on use: scipy dominates start-up
 
     q = settings or QuadratureSettings()
-    if not np.isfinite(lower):
-        raise ConfigError("lower integration limit must be finite")
-    if upper <= lower:
-        raise ConfigError("upper integration limit must exceed lower")
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         value, abserr, info, *tail = integrate.quad(
-            func, lower, upper,
+            func, 0.0, np.inf,
             epsabs=q.abs_tol, epsrel=q.rel_tol,
             limit=q.max_subdivisions, full_output=1)
     tolerance = q.rel_tol * abs(value) + q.abs_tol

@@ -8,9 +8,9 @@ device in the same cell pushes the same preamble through simultaneously.
 
 The analytics average over Rayleigh fading per symbol group, a Poisson
 field of interferers on the same preamble, and the load of the serving
-cell.  Each joint success is one quadrature over the serving distance (the
-unbounded kernel adds one per call; the cell-truncated one is closed-form),
-plus a discrete cell-load sum.
+cell.  Each joint success is one quadrature over the serving distance, with
+one interference exponent for both modes (the unbounded kernel adds one
+quadrature; the cell-truncated one is closed-form), plus a cell-load sum.
 """
 
 from __future__ import annotations
@@ -77,26 +77,26 @@ class ChannelConfig:
     epsilon_override: float | None = None
 
     def __post_init__(self):
-        if not (self.alpha > 2.0):
-            raise ConfigError("alpha must exceed 2 for the interference field to converge")
-        if not (self.gamma_th > 0.0):
-            raise ConfigError("gamma_th must be positive (linear scale)")
-        if not (self.p > 0.0):
-            raise ConfigError("p must be positive")
-        if not (self.sigma2 >= 0.0):
-            raise ConfigError("sigma2 must be non-negative")
-        if not (self.lambda_b > 0.0):
-            raise ConfigError("lambda_b must be positive")
-        if not (self.lambda_d >= 0.0):
-            raise ConfigError("lambda_d must be non-negative")
+        if not (2.0 < self.alpha < math.inf):
+            raise ConfigError("alpha must lie in (2, inf) for the interference field to converge")
+        if not (0.0 < self.gamma_th < math.inf):
+            raise ConfigError("gamma_th must be positive and finite (linear scale)")
+        if not (0.0 < self.p < math.inf):
+            raise ConfigError("p must be positive and finite")
+        if not (0.0 <= self.sigma2 < math.inf):
+            raise ConfigError("sigma2 must be non-negative and finite")
+        if not (0.0 < self.lambda_b < math.inf):
+            raise ConfigError("lambda_b must be positive and finite")
+        if not (0.0 <= self.lambda_d < math.inf):
+            raise ConfigError("lambda_d must be non-negative and finite")
         if not (0.0 < self.a_a <= 1.0):
             raise ConfigError("a_a must lie in (0, 1]")
         if not (0.0 <= self.eta0 <= 1.0):
             raise ConfigError("eta0 must lie in [0, 1]")
         if integer(self.l_preambles, "l_preambles") < 1:
             raise ConfigError("l_preambles must be a positive integer")
-        if self.epsilon_override is not None and not (self.epsilon_override > 0.0):
-            raise ConfigError("epsilon_override must be positive when given")
+        if self.epsilon_override is not None and not (0.0 < self.epsilon_override < math.inf):
+            raise ConfigError("epsilon_override must be positive and finite when given")
 
 
 @dataclass(frozen=True)
@@ -135,10 +135,12 @@ def select_epsilon(lambda_da: float, lambda_b: float,
     """Distance-law correction factor: 1 in the sparse-transmitter regime,
     1.25 once contenders outnumber stations.  The crossover sits at
     density ratio 1; an explicit override wins."""
+    if not (0.0 < lambda_b < math.inf):
+        raise ConfigError("lambda_b must be positive and finite")
+    if not (0.0 <= lambda_da < math.inf):
+        raise ConfigError("lambda_da must be non-negative and finite")
     if override is not None:
         return float(override)
-    if not (lambda_b > 0.0):
-        raise ConfigError("lambda_b must be positive")
     return 1.25 if lambda_da / lambda_b > 1.0 else 1.0
 
 
@@ -157,7 +159,7 @@ def pgfl_kernel(alpha: float, l: int, settings: QuadratureSettings | None = None
             return u
         return -math.expm1(-l * math.log1p(math.exp(log_x))) * u
 
-    value, _ = improper_integral(g, 0.0, np.inf, settings or QuadratureSettings())
+    value, _ = improper_integral(g, settings or QuadratureSettings())
     return value
 
 
@@ -189,36 +191,24 @@ def _truncated_kernel(alpha: float, l: int):
     return kernel
 
 
-def _cell_exponent(l: int, cfg: ChannelConfig):
-    """pgfl_exponent's INTRA_CELL_ONLY value as a function of r0 > 0."""
-    kernel = _truncated_kernel(cfg.alpha, l)
-    coef = 2.0 * math.pi * active_density(cfg) * cfg.gamma_th ** (2.0 / cfg.alpha)
-    reach = 1.0 / (math.sqrt(math.pi * cfg.lambda_b) * cfg.gamma_th ** (1.0 / cfg.alpha))
-    return lambda r0: coef * r0 * r0 * kernel(reach / r0)
-
-
-def pgfl_exponent(r0: float, l: int, cfg: ChannelConfig,
-                  mode: InterferenceMode = InterferenceMode.FULL,
-                  settings: QuadratureSettings | None = None) -> float:
-    """Exponent of the fading-averaged interference functional at serving
-    distance r0 for l jointly-decoded symbol groups.
+def _exponent(l: int, cfg: ChannelConfig, mode: InterferenceMode, q: QuadratureSettings):
+    """Exponent of the fading-averaged interference functional for l
+    jointly-decoded symbol groups, as a function of the serving distance
+    r0 > 0.
 
     FULL integrates the same-preamble field over the whole plane;
     INTRA_CELL_ONLY truncates it at the average cell radius
     1/sqrt(pi lambda_b), which makes the kernel distance-dependent.
     """
-    l = _check_symbol_groups(l)
-    if not (0.0 <= r0 < math.inf):
-        raise ConfigError("r0 must be a finite non-negative distance")
-    lam_da = active_density(cfg)
-    if r0 == 0.0 or lam_da == 0.0:
-        return 0.0
+    coef = 2.0 * math.pi * active_density(cfg) * cfg.gamma_th ** (2.0 / cfg.alpha)
     if mode is InterferenceMode.FULL:
-        return (2.0 * math.pi * lam_da * cfg.gamma_th ** (2.0 / cfg.alpha) * r0 * r0
-                * pgfl_kernel(cfg.alpha, l, settings))
+        kernel = pgfl_kernel(cfg.alpha, l, q)
+        return lambda r0: coef * r0 * r0 * kernel
     if mode is not InterferenceMode.INTRA_CELL_ONLY:
         raise ConfigError("mode must be an InterferenceMode")
-    return _cell_exponent(l, cfg)(r0)
+    kernel = _truncated_kernel(cfg.alpha, l)
+    reach = 1.0 / (math.sqrt(math.pi * cfg.lambda_b) * cfg.gamma_th ** (1.0 / cfg.alpha))
+    return lambda r0: coef * r0 * r0 * kernel(reach / r0)
 
 
 def _probability(value: float, q: QuadratureSettings, what: str) -> float:
@@ -246,25 +236,22 @@ def joint_symbol_success(l: int, cfg: ChannelConfig,
     noise_coef = l * cfg.gamma_th * cfg.sigma2 / cfg.p
     half_alpha = cfg.alpha / 2.0
 
+    exponent = _exponent(l, cfg, mode, q)
     if mode is InterferenceMode.FULL:
         # the unbounded-field exponent is linear in t: its slope is the
         # exponent at r0 = 1
-        slope = s_dist + pgfl_exponent(1.0, l, cfg, mode, q)
+        slope = s_dist + exponent(1.0)
 
         def integrand(t: float) -> float:
             return s_dist * math.exp(-slope * t - noise_coef * t ** half_alpha)
-    elif mode is InterferenceMode.INTRA_CELL_ONLY:
-        exponent = _cell_exponent(l, cfg)
-
+    else:
         def integrand(t: float) -> float:
             if t <= 0.0:
                 return s_dist
             return s_dist * math.exp(-s_dist * t - noise_coef * t ** half_alpha
                                      - exponent(math.sqrt(t)))
-    else:
-        raise ConfigError("mode must be an InterferenceMode")
 
-    value, _ = improper_integral(integrand, 0.0, np.inf, q)
+    value, _ = improper_integral(integrand, q)
     return _probability(value, q, "joint symbol success")
 
 
@@ -292,10 +279,10 @@ def cell_load_pmf(n, lambda_da: float, lambda_b: float):
     in the log-gamma domain.  Vectorises over n."""
     from scipy.special import gammaln  # imported on use: scipy dominates start-up
 
-    if not (lambda_b > 0.0):
-        raise ConfigError("lambda_b must be positive")
-    if not (lambda_da >= 0.0):
-        raise ConfigError("lambda_da must be non-negative")
+    if not (0.0 < lambda_b < math.inf):
+        raise ConfigError("lambda_b must be positive and finite")
+    if not (0.0 <= lambda_da < math.inf):
+        raise ConfigError("lambda_da must be non-negative and finite")
     n_arr = np.asarray(n)
     if not np.issubdtype(n_arr.dtype, np.integer):
         raise ConfigError("n must be integer valued")

@@ -71,8 +71,8 @@ class Region:
     radius: float
 
     def __post_init__(self):
-        if not (self.radius > 0.0):
-            raise ConfigError("region radius must be positive")
+        if not (0.0 < self.radius < math.inf):
+            raise ConfigError("region radius must be positive and finite")
 
     @classmethod
     def from_area(cls, area_km2: float) -> "Region":
@@ -108,8 +108,8 @@ class SimSettings:
             raise ConfigError("replications must be a positive integer")
         if integer(self.seed, "seed") < 0:
             raise ConfigError("seed must be a non-negative integer")
-        if self.guard is not None and not (self.guard >= 0.0):
-            raise ConfigError("guard must be non-negative")
+        if self.guard is not None and not (0.0 <= self.guard < math.inf):
+            raise ConfigError("guard must be non-negative and finite")
         if not (0.0 < self.tail_tol < 1.0):
             raise ConfigError("tail_tol must lie in (0, 1)")
         if integer(self.redraw_budget, "redraw_budget") < 1:

@@ -29,7 +29,6 @@ from nbrach.rach import (
     ChannelConfig,
     InterferenceMode,
     joint_symbol_success,
-    pgfl_exponent,
     pgfl_kernel,
     preamble_success_prob,
     symbol_group_count,
@@ -223,10 +222,12 @@ def test_integer_fields_reject_floats(layer, name):
     for f in dataclasses.fields(layer) if "float" in f.type
 ])
 def test_float_fields_reject_nan(layer, name):
-    # a sign check written `x < 0.0` lets NaN through
+    # a sign check written `x < 0.0` lets NaN through, and one without an
+    # upper bound lets +inf through to NaN results or a ZeroDivisionError
     kw = {"radius": 1.0} if layer is Region else {}
-    with pytest.raises(ConfigError, match=name):
-        layer(**{**kw, name: math.nan})
+    for value in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match=name):
+            layer(**{**kw, name: value})
 
 
 @pytest.mark.parametrize("count", [
@@ -234,7 +235,6 @@ def test_float_fields_reject_nan(layer, name):
     lambda n_t: preamble_success_prob(n_t, ChannelConfig()),
     lambda n_t: simulate_summary(ChannelConfig(), n_t, settings=SimSettings(replications=10)),
     lambda n: pgfl_kernel(4.0, 4 * n),
-    lambda n: pgfl_exponent(0.5, 4 * n, ChannelConfig()),
     lambda n: joint_symbol_success(4 * n, ChannelConfig()),
     lambda n: generator_matrix(0.1, 0.2, n + 1),
     lambda n: neg_B_inverse(0.1, 0.2, n + 1),
@@ -243,7 +243,7 @@ def test_float_fields_reject_nan(layer, name):
     lambda n: mean_on_time(0.1, 0.2, 4, n),
     lambda n: mean_on_time(0.2, 0.2, 4, n),
 ], ids=["symbol_group_count", "preamble_success_prob", "simulate_summary",
-        "pgfl_kernel", "pgfl_exponent", "joint_symbol_success",
+        "pgfl_kernel", "joint_symbol_success",
         "generator_matrix", "neg_B_inverse", "hitting_times_solve", "mean_on_time",
         "start_level", "start_level-singular"])
 def test_repetition_counts_reject_floats(count):

@@ -1,12 +1,15 @@
 """Module boundaries: no module imports another module's private names, every
-public name has a caller, and launches that need no scipy load none."""
+public name has a caller, every function the benchmark traces is bound where
+it looks, and launches that need no scipy load none."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nbrach"
+BENCH = PACKAGE.parent.parent / "perfbench"
 
 
 def test_no_private_cross_module_imports():
@@ -54,6 +57,36 @@ def test_public_names_have_callers():
     uncalled = sorted(set(nbrach.__all__) - used - set(TEST_ONLY_NAMES))
     assert uncalled == []
     assert set(TEST_ONLY_NAMES) <= set(nbrach.__all__)
+
+
+# functions the benchmark's tracer still lists that the program no longer
+# has, each with its reason
+RETIRED_TRACED = {
+    ("nbrach.rach", "pgfl_exponent"): "folded into the private rach._exponent; "
+                                      "its per-layer metrics read 0",
+}
+
+
+def _literal(path: Path, name: str):
+    # a module-level constant of the benchmark, read without importing it
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not found in {path}")
+
+
+def test_benchmark_traced_functions_resolve():
+    # the tracer wraps each function by module attribute, so a refactor that
+    # renames or unbinds one zeroes its per-layer metrics without an error
+    traced = _literal(BENCH / "tracer.py", "TRACED")
+    missing = {(home, attr) for home, attr, _span in traced
+               if not hasattr(importlib.import_module(home), attr)}
+    assert missing == set(RETIRED_TRACED)
+    home = {attr: module for module, attr, _span in traced}
+    for binding in sorted(_literal(BENCH / "tests" / "trace_check.py", "REQUIRED_BINDINGS")):
+        module, attr = binding.rsplit(".", 1)
+        original = getattr(importlib.import_module(home[attr]), attr)
+        assert getattr(importlib.import_module(module), attr) is original, binding
 
 
 def test_closed_form_presets_load_no_scipy(tmp_path):

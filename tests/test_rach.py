@@ -7,7 +7,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import gammaln
 
 from nbrach import rach
 from nbrach.errors import ConfigError, NumericError
@@ -19,7 +18,6 @@ from nbrach.rach import (
     cell_load_pmf,
     cell_load_truncation,
     joint_symbol_success,
-    pgfl_exponent,
     pgfl_kernel,
     preamble_success_prob,
     rach_success_detail,
@@ -34,9 +32,11 @@ DESK = ChannelConfig(lambda_b=1.0, lambda_d=1000.0)
 
 def kernel_oracle(alpha: float, l: int) -> float:
     # closed form of the kernel integral via the beta-function identity:
-    # int_0^inf (1 - (1 + v^(-alpha/2))^(-l)) dv = G(1-2/a) G(l+2/a) / G(l)
-    return 0.5 * math.gamma(1.0 - 2.0 / alpha) * math.exp(
-        gammaln(l + 2.0 / alpha) - gammaln(l))
+    # int_0^inf (1 - (1 + v^(-alpha/2))^(-l)) dv = G(1-2/a) G(l+2/a) / G(l),
+    # in 30 digits so that the tolerances below measure the code under test
+    with mp.workdps(30):
+        d = mp.mpf(2) / alpha
+        return float(mp.gamma(1 - d) * mp.gamma(l + d) / (2 * mp.gamma(l)))
 
 
 # -------------------------------------------------------------- pgfl kernel
@@ -45,8 +45,9 @@ def kernel_oracle(alpha: float, l: int) -> float:
 @pytest.mark.parametrize("alpha", [3.0, 4.0, 6.0])
 @pytest.mark.parametrize("l", [4, 8, 16, 64, 128])
 def test_kernel_against_gamma_oracle(alpha, l):
+    # QUADPACK's worst case here is 5.6e-13 (alpha = 3, l = 8)
     assert pgfl_kernel(alpha, l) == pytest.approx(kernel_oracle(alpha, l),
-                                                  rel=5e-12)
+                                                  rel=1e-12)
 
 
 def test_kernel_monotone():
@@ -87,27 +88,26 @@ def test_truncated_kernel_against_mpmath(alpha, l):
 @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0])
 @pytest.mark.parametrize("l", [4, 8, 16, 64, 128])
 def test_truncated_kernel_unbounded_limit(alpha, l):
-    # at U = inf the sum is the Gamma ratio; kernel_oracle's log-gamma
-    # difference itself carries ~1.5e-13 at l = 128
+    # at U = inf the sum is the Gamma ratio (worst case measured 7.8e-16)
     kernel = rach._truncated_kernel(alpha, l)
-    with mp.workdps(30):
-        d = mp.mpf(2) / alpha
-        exact = float(mp.gamma(1 - d) * mp.gamma(l + d) / (2 * mp.gamma(l)))
-    assert kernel(math.inf) == pytest.approx(exact, rel=1e-14)
-    assert kernel(math.inf) == pytest.approx(kernel_oracle(alpha, l), rel=5e-13)
+    assert kernel(math.inf) == pytest.approx(kernel_oracle(alpha, l), rel=1e-14)
     assert kernel(1e200) == kernel(math.inf)
 
 
+def exponent(r0: float, l: int, cfg: ChannelConfig,
+             mode: InterferenceMode = InterferenceMode.FULL) -> float:
+    return rach._exponent(l, cfg, mode, QuadratureSettings())(r0)
+
+
 def test_exponent_modes():
-    cfg = DESK
-    full = pgfl_exponent(0.5, 4, cfg, InterferenceMode.FULL)
-    intra = pgfl_exponent(0.5, 4, cfg, InterferenceMode.INTRA_CELL_ONLY)
+    full = exponent(0.5, 4, DESK, InterferenceMode.FULL)
+    intra = exponent(0.5, 4, DESK, InterferenceMode.INTRA_CELL_ONLY)
     assert 0.0 < intra < full
-    assert pgfl_exponent(0.0, 4, cfg) == 0.0
     empty = ChannelConfig(lambda_b=1.0, lambda_d=0.0)
-    assert pgfl_exponent(0.5, 4, empty) == 0.0
-    with pytest.raises(ConfigError, match="finite"):
-        pgfl_exponent(math.inf, 4, cfg, InterferenceMode.INTRA_CELL_ONLY)
+    for mode in InterferenceMode:
+        assert exponent(0.5, 4, empty, mode) == 0.0
+    with pytest.raises(ConfigError, match="mode must be an InterferenceMode"):
+        joint_symbol_success(4, DESK, "full")
 
 
 def test_exponent_intra_is_scaled_truncated_kernel():
@@ -118,7 +118,7 @@ def test_exponent_intra_is_scaled_truncated_kernel():
     upper = 1.0 / (math.sqrt(math.pi) * r0 * cfg.gamma_th ** (1.0 / 3.0))
     want = (2.0 * math.pi * active_density(cfg) * cfg.gamma_th ** (2.0 / 3.0) * r0 * r0
             * truncated_kernel_quad(3.0, 8, upper))
-    got = pgfl_exponent(r0, 8, cfg, InterferenceMode.INTRA_CELL_ONLY)
+    got = exponent(r0, 8, cfg, InterferenceMode.INTRA_CELL_ONLY)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -127,7 +127,8 @@ def test_exponent_full_closed_form():
     lam_da = active_density(cfg)
     want = (2.0 * math.pi * lam_da * cfg.gamma_th ** 0.5 * 0.25
             * kernel_oracle(4.0, 8))
-    assert pgfl_exponent(0.5, 8, cfg) == pytest.approx(want, rel=5e-12)
+    # the kernel's own error at alpha = 4 is within 2e-15
+    assert exponent(0.5, 8, cfg) == pytest.approx(want, rel=1e-14)
 
 
 # ----------------------------------------------------------- distance model
@@ -151,6 +152,7 @@ def test_select_epsilon_crossover():
 
 def test_joint_success_zero_noise_closed_form():
     # with sigma2 = 0 the serving-distance average is a ratio of rates
+    # (measured within 7e-16 of it)
     cfg = ChannelConfig(lambda_b=1.0, lambda_d=1000.0, sigma2=0.0)
     lam_da = active_density(cfg)
     eps = select_epsilon(lam_da, cfg.lambda_b)
@@ -158,7 +160,7 @@ def test_joint_success_zero_noise_closed_form():
         s = eps * math.pi * cfg.lambda_b
         want = s / (s + 2.0 * math.pi * lam_da
                     * cfg.gamma_th ** 0.5 * kernel_oracle(4.0, l))
-        assert joint_symbol_success(l, cfg) == pytest.approx(want, rel=1e-9)
+        assert joint_symbol_success(l, cfg) == pytest.approx(want, rel=1e-14)
 
 
 def test_joint_success_decreasing_in_groups():
@@ -305,11 +307,17 @@ def test_cell_load_empty_field():
     lambda: select_epsilon(1.0, math.nan),
     lambda: cell_load_pmf(0, 0.1, math.nan),
     lambda: cell_load_pmf(0, math.nan, 0.1),
-    lambda: pgfl_exponent(math.nan, 8, DESK),
+    lambda: select_epsilon(math.nan, 1.0),
+    lambda: select_epsilon(-1.0, 1.0),
+    lambda: cell_load_pmf(0, 0.1, math.inf),
+    lambda: cell_load_pmf(0, math.inf, 0.1),
+    lambda: cell_load_truncation(math.inf, 1.0),
 ], ids=["select_epsilon-lambda_b", "cell_load_pmf-lambda_b", "cell_load_pmf-lambda_da",
-        "pgfl_exponent-r0"])
+        "select_epsilon-lambda_da", "select_epsilon-negative", "cell_load_pmf-inf-lambda_b",
+        "cell_load_pmf-inf-lambda_da", "cell_load_truncation-inf"])
 def test_sign_checks_reject_nan(call):
-    # written `x < 0.0`, a sign check returns 1.0 or NaN for a NaN input
+    # written `x < 0.0`, a sign check returns 1.0 or NaN for a NaN input; an
+    # unbounded one lets +inf through to a math domain error or NaN masses
     with pytest.raises(ConfigError, match="must be"):
         call()
 
