@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, integer
+from .errors import ConfigError, integer, real
 
 # NPRACH repetition values admitted by the standard.
 STANDARD_REPETITIONS = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -71,20 +71,13 @@ class EnergyConfig:
     enforce_standard_repetitions: bool = True
 
     def __post_init__(self):
-        if not (0.0 < self.mu0 < math.inf):
-            raise ConfigError("mu0 must be positive and finite")
-        if not (0.0 < self.a_a <= 1.0):
-            raise ConfigError("a_a must lie in (0, 1]")
-        if not (0.0 < self.p < math.inf):
-            raise ConfigError("p must be positive and finite")
-        if not (0.0 < self.e0_ra < math.inf):
-            raise ConfigError("e0_ra must be positive and finite")
-        if not (0.0 <= self.e0_da < math.inf):
-            raise ConfigError("e0_da must be non-negative and finite")
-        if integer(self.m0, "m0") < 1:
-            raise ConfigError("m0 must be a positive integer")
-        if not (1 <= integer(self.n_t, "n_t") <= self.m0):
-            raise ConfigError("n_t must be an integer in [1, m0]")
+        real(self.mu0, "mu0", gt=0.0)
+        real(self.a_a, "a_a", gt=0.0, le=1.0)
+        real(self.p, "p", gt=0.0)
+        real(self.e0_ra, "e0_ra", gt=0.0)
+        real(self.e0_da, "e0_da", ge=0.0)
+        integer(self.m0, "m0", ge=1)
+        integer(self.n_t, "n_t", ge=1, le=self.m0)
         if self.enforce_standard_repetitions and self.n_t not in STANDARD_REPETITIONS:
             raise ConfigError(
                 f"n_t={self.n_t} is not a standard repetition value {STANDARD_REPETITIONS}")
@@ -132,11 +125,9 @@ def depletion_rate(cfg: EnergyConfig) -> float:
 
 def _chain_capacity(mu0: float, nu0: float, capacity: int) -> int:
     """`capacity` as an int, once the chain's rates and capacity are valid."""
-    capacity = integer(capacity, "capacity")
-    if capacity < 1:
-        raise ConfigError("capacity must be at least 1")
-    if not (mu0 > 0.0 and nu0 > 0.0):
-        raise ConfigError("rates must be positive")
+    capacity = integer(capacity, "capacity", ge=1)
+    real(mu0, "mu0", gt=0.0)
+    real(nu0, "nu0", gt=0.0)
     return capacity
 
 
@@ -214,9 +205,7 @@ def mean_on_time(mu0: float, nu0: float, capacity: int, start_level: int) -> flo
     the singular band around mu0 == nu0.
     """
     capacity = _chain_capacity(mu0, nu0, capacity)
-    m = integer(start_level, "start_level")
-    if not (1 <= m <= capacity):
-        raise ConfigError("start_level must lie in [1, capacity]")
+    m = integer(start_level, "start_level", ge=1, le=capacity)
     rho = mu0 / nu0
     if abs(rho - 1.0) < RATE_RATIO_SINGULAR_BAND:
         return float(hitting_times_solve(mu0, nu0, capacity)[m - 1])
@@ -324,8 +313,8 @@ def simulate_energy_chain(cfg: EnergyConfig, num_transitions: int = 1_000_000,
     regenerative standard error comes from the completed (ON, OFF) pairs.
     Deterministic for a fixed seed.
     """
-    if integer(num_transitions, "num_transitions") < 1:
-        raise ConfigError("num_transitions must be positive")
+    integer(num_transitions, "num_transitions", ge=1)
+    integer(seed, "seed", ge=0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE4E26)))
     mu = cfg.mu0
     nu = depletion_rate(cfg)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, QuadratureError, integer
+from .errors import QuadratureError, integer, real
 
 
 @dataclass(frozen=True)
@@ -26,14 +26,10 @@ class QuadratureSettings:
     pmf_tail_mass: float = 1e-8
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol < np.inf):
-            raise ConfigError("rel_tol must be positive and finite")
-        if not (0.0 < self.abs_tol < np.inf):
-            raise ConfigError("abs_tol must be positive and finite")
-        if integer(self.max_subdivisions, "max_subdivisions") < 10:
-            raise ConfigError("max_subdivisions must be at least 10")
-        if not (0.0 < self.pmf_tail_mass < 1e-2):
-            raise ConfigError("pmf_tail_mass must lie in (0, 1e-2)")
+        real(self.rel_tol, "rel_tol", gt=0.0)
+        real(self.abs_tol, "abs_tol", gt=0.0)
+        integer(self.max_subdivisions, "max_subdivisions", ge=10)
+        real(self.pmf_tail_mass, "pmf_tail_mass", gt=0.0, lt=1e-2)
 
 
 def improper_integral(func, settings: QuadratureSettings | None = None) -> tuple[float, float]:

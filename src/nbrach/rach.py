@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, integer
+from .errors import ConfigError, NumericError, integer, real
 from .quadrature import QuadratureSettings, improper_integral
 
 # Shape constant of the gamma approximation to the Voronoi cell area
@@ -35,14 +35,16 @@ SYMBOL_GROUPS_PER_REPETITION = 4
 # float64 precision; reject instead of returning noise.
 MAX_ANALYTIC_REPETITIONS = 32
 
+# Largest cell-load truncation point n*, whatever the tail mass.
+CELL_LOAD_CAP = 10_000
+
 # One NB-IoT tone, Hz.
 DEFAULT_TONE_BANDWIDTH_HZ = 3750.0
 
 
 def noise_power_watt(bandwidth_hz: float) -> float:
     """Thermal noise over one tone: -174 dBm/Hz plus 10 log10(BW), in watts."""
-    if not (bandwidth_hz > 0.0):
-        raise ConfigError("bandwidth must be positive")
+    real(bandwidth_hz, "bandwidth_hz", gt=0.0)
     return 10.0 ** ((-174.0 + 10.0 * math.log10(bandwidth_hz) - 30.0) / 10.0)
 
 
@@ -77,26 +79,17 @@ class ChannelConfig:
     epsilon_override: float | None = None
 
     def __post_init__(self):
-        if not (2.0 < self.alpha < math.inf):
-            raise ConfigError("alpha must lie in (2, inf) for the interference field to converge")
-        if not (0.0 < self.gamma_th < math.inf):
-            raise ConfigError("gamma_th must be positive and finite (linear scale)")
-        if not (0.0 < self.p < math.inf):
-            raise ConfigError("p must be positive and finite")
-        if not (0.0 <= self.sigma2 < math.inf):
-            raise ConfigError("sigma2 must be non-negative and finite")
-        if not (0.0 < self.lambda_b < math.inf):
-            raise ConfigError("lambda_b must be positive and finite")
-        if not (0.0 <= self.lambda_d < math.inf):
-            raise ConfigError("lambda_d must be non-negative and finite")
-        if not (0.0 < self.a_a <= 1.0):
-            raise ConfigError("a_a must lie in (0, 1]")
-        if not (0.0 <= self.eta0 <= 1.0):
-            raise ConfigError("eta0 must lie in [0, 1]")
-        if integer(self.l_preambles, "l_preambles") < 1:
-            raise ConfigError("l_preambles must be a positive integer")
-        if self.epsilon_override is not None and not (0.0 < self.epsilon_override < math.inf):
-            raise ConfigError("epsilon_override must be positive and finite when given")
+        real(self.alpha, "alpha", gt=2.0)  # the interference field converges only for alpha > 2
+        real(self.gamma_th, "gamma_th", gt=0.0)
+        real(self.p, "p", gt=0.0)
+        real(self.sigma2, "sigma2", ge=0.0)
+        real(self.lambda_b, "lambda_b", gt=0.0)
+        real(self.lambda_d, "lambda_d", ge=0.0)
+        real(self.a_a, "a_a", gt=0.0, le=1.0)
+        real(self.eta0, "eta0", ge=0.0, le=1.0)
+        integer(self.l_preambles, "l_preambles", ge=1)
+        if self.epsilon_override is not None:
+            real(self.epsilon_override, "epsilon_override", gt=0.0)
 
 
 @dataclass(frozen=True)
@@ -109,17 +102,15 @@ class RachSuccessDetail:
     terms: int
 
 
-def symbol_group_count(n_reps: int) -> int:
-    """Total symbol groups across n_reps preamble repetitions."""
-    if integer(n_reps, "repetition count") < 1:
-        raise ConfigError("repetition count must be a positive integer")
-    return SYMBOL_GROUPS_PER_REPETITION * n_reps
+def symbol_group_count(n_t: int) -> int:
+    """Total symbol groups across n_t preamble repetitions."""
+    return SYMBOL_GROUPS_PER_REPETITION * integer(n_t, "n_t", ge=1)
 
 
 def _check_symbol_groups(l: int) -> int:
-    l = integer(l, "l")
-    if l < SYMBOL_GROUPS_PER_REPETITION or l % SYMBOL_GROUPS_PER_REPETITION:
-        raise ConfigError(f"l={l} must be a positive multiple of {SYMBOL_GROUPS_PER_REPETITION}")
+    l = integer(l, "l", ge=SYMBOL_GROUPS_PER_REPETITION)
+    if l % SYMBOL_GROUPS_PER_REPETITION:
+        raise ConfigError(f"l={l} must be a multiple of {SYMBOL_GROUPS_PER_REPETITION}")
     return l
 
 
@@ -135,12 +126,10 @@ def select_epsilon(lambda_da: float, lambda_b: float,
     """Distance-law correction factor: 1 in the sparse-transmitter regime,
     1.25 once contenders outnumber stations.  The crossover sits at
     density ratio 1; an explicit override wins."""
-    if not (0.0 < lambda_b < math.inf):
-        raise ConfigError("lambda_b must be positive and finite")
-    if not (0.0 <= lambda_da < math.inf):
-        raise ConfigError("lambda_da must be non-negative and finite")
+    real(lambda_b, "lambda_b", gt=0.0)
+    real(lambda_da, "lambda_da", ge=0.0)
     if override is not None:
-        return float(override)
+        return float(real(override, "override", gt=0.0))
     return 1.25 if lambda_da / lambda_b > 1.0 else 1.0
 
 
@@ -149,6 +138,7 @@ def pgfl_kernel(alpha: float, l: int, settings: QuadratureSettings | None = None
     integral over [0, inf) of g(u) = (1 - (1 + u^-alpha)^-l) u, scaled by
     2 pi lambda_Da gamma_th^(2/alpha) r0^2 at serving distance r0.  g goes
     through expm1/log1p so its tail (~ l u^(1-alpha)) keeps relative accuracy."""
+    real(alpha, "alpha", gt=2.0)
     l = _check_symbol_groups(l)
 
     def g(u: float) -> float:
@@ -262,10 +252,7 @@ def preamble_success_prob(n_t: int, cfg: ChannelConfig,
     groups through, by inclusion-exclusion over the joint laws (repetitions
     share the interferer positions, so they are dependent)."""
     q = settings or QuadratureSettings()
-    symbol_group_count(n_t)
-    if n_t > MAX_ANALYTIC_REPETITIONS:
-        raise ConfigError(
-            f"analytic inclusion-exclusion is limited to n_t <= {MAX_ANALYTIC_REPETITIONS}")
+    integer(n_t, "n_t", ge=1, le=MAX_ANALYTIC_REPETITIONS)
     total = 0.0
     for k in range(1, n_t + 1):
         p_k = joint_symbol_success(symbol_group_count(k), cfg, mode, q)
@@ -279,15 +266,12 @@ def cell_load_pmf(n, lambda_da: float, lambda_b: float):
     in the log-gamma domain.  Vectorises over n."""
     from scipy.special import gammaln  # imported on use: scipy dominates start-up
 
-    if not (0.0 < lambda_b < math.inf):
-        raise ConfigError("lambda_b must be positive and finite")
-    if not (0.0 <= lambda_da < math.inf):
-        raise ConfigError("lambda_da must be non-negative and finite")
+    real(lambda_b, "lambda_b", gt=0.0)
+    real(lambda_da, "lambda_da", ge=0.0)
     n_arr = np.asarray(n)
     if not np.issubdtype(n_arr.dtype, np.integer):
         raise ConfigError("n must be integer valued")
-    if (n_arr < 0).any():
-        raise ConfigError("n must be non-negative")
+    integer(n_arr.min(initial=0), "n", ge=0)
     if lambda_da == 0.0:
         out = np.where(n_arr == 0, 1.0, 0.0)
         return out if out.ndim else float(out)
@@ -303,20 +287,16 @@ def cell_load_pmf(n, lambda_da: float, lambda_b: float):
     return out if out.ndim else float(out)
 
 
-def cell_load_truncation(lambda_da: float, lambda_b: float,
-                         tail_mass: float = 1e-8, cap: int = 10_000) -> int:
+def cell_load_truncation(lambda_da: float, lambda_b: float, tail_mass: float = 1e-8) -> int:
     """Smallest n* whose cumulative cell-load mass reaches 1 - tail_mass,
-    capped at `cap` terms."""
-    if not (0.0 < tail_mass < 1.0):
-        raise ConfigError("tail_mass must lie in (0, 1)")
-    if lambda_da == 0.0:
-        return 0
+    capped at CELL_LOAD_CAP."""
+    real(tail_mass, "tail_mass", gt=0.0, lt=1.0)
     target = 1.0 - tail_mass
     block = 256
     total = 0.0
     start = 0
-    while start <= cap:
-        stop = min(start + block, cap + 1)
+    while start <= CELL_LOAD_CAP:
+        stop = min(start + block, CELL_LOAD_CAP + 1)
         masses = cell_load_pmf(np.arange(start, stop), lambda_da, lambda_b)
         cum = total + np.cumsum(masses)
         hit = np.nonzero(cum >= target)[0]
@@ -324,7 +304,7 @@ def cell_load_truncation(lambda_da: float, lambda_b: float,
             return start + int(hit[0])
         total = float(cum[-1])
         start = stop
-    return cap
+    return CELL_LOAD_CAP
 
 
 def rach_success_detail(n_t: int, cfg: ChannelConfig,

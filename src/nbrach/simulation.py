@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, integer
+from .errors import ConfigError, integer, real
 from .rach import (
     SYMBOL_GROUPS_PER_REPETITION,
     ChannelConfig,
@@ -71,13 +71,11 @@ class Region:
     radius: float
 
     def __post_init__(self):
-        if not (0.0 < self.radius < math.inf):
-            raise ConfigError("region radius must be positive and finite")
+        real(self.radius, "radius", gt=0.0)
 
     @classmethod
     def from_area(cls, area_km2: float) -> "Region":
-        if not (area_km2 > 0.0):
-            raise ConfigError("region area must be positive")
+        real(area_km2, "area_km2", gt=0.0)
         return cls(radius=math.sqrt(area_km2 / math.pi))
 
     @property
@@ -104,16 +102,12 @@ class SimSettings:
     redraw_budget: int = 1000
 
     def __post_init__(self):
-        if integer(self.replications, "replications") < 1:
-            raise ConfigError("replications must be a positive integer")
-        if integer(self.seed, "seed") < 0:
-            raise ConfigError("seed must be a non-negative integer")
-        if self.guard is not None and not (0.0 <= self.guard < math.inf):
-            raise ConfigError("guard must be non-negative and finite")
-        if not (0.0 < self.tail_tol < 1.0):
-            raise ConfigError("tail_tol must lie in (0, 1)")
-        if integer(self.redraw_budget, "redraw_budget") < 1:
-            raise ConfigError("redraw_budget must be a positive integer")
+        integer(self.replications, "replications", ge=1)
+        integer(self.seed, "seed", ge=0)
+        if self.guard is not None:
+            real(self.guard, "guard", ge=0.0)
+        real(self.tail_tol, "tail_tol", gt=0.0, lt=1.0)
+        integer(self.redraw_budget, "redraw_budget", ge=1)
 
 
 @dataclass(frozen=True)
@@ -142,22 +136,19 @@ def _estimate(successes: int, trials: int, seed: int) -> RachEstimate:
     return RachEstimate(p_hat=p, ci_halfwidth=hw, trials=trials, seed=seed)
 
 
-def _disc_xy(radius: float, uniforms: list[np.ndarray],
-             skip: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _disc_xy(radius: float, uniforms: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Place each attempt's (2, n) uniforms, radial row first, uniformly
-    on the disc as one row of (attempts, skip + widest) x and y arrays,
-    from column `skip` on.  Padding, and the skipped columns, sit at
-    infinity: never nearest, and no power."""
-    counts = np.array([u.shape[1] for u in uniforms]) + skip
-    cols = np.arange(counts.max())
-    real = (cols >= skip) & (cols < counts[:, None])
+    on the disc as one row of (attempts, widest) x and y arrays.  Padding
+    sits at infinity: never nearest, and no power."""
+    counts = np.array([u.shape[1] for u in uniforms])
+    drawn = np.arange(counts.max()) < counts[:, None]
     u = np.concatenate(uniforms, axis=1)
     r = radius * np.sqrt(u[0])
     theta = 2.0 * math.pi * u[1]
-    x = np.full(real.shape, np.inf)
-    y = np.full(real.shape, np.inf)
-    x[real] = r * np.cos(theta)
-    y[real] = r * np.sin(theta)
+    x = np.full(drawn.shape, np.inf)
+    y = np.full(drawn.shape, np.inf)
+    x[drawn] = r * np.cos(theta)
+    y[drawn] = r * np.sin(theta)
     return x, y
 
 
@@ -232,12 +223,13 @@ def interference_horizon(cfg: ChannelConfig, n_t: int, tail_tol: float) -> float
     (effective slope s in the squared-distance domain) and doubling for
     slack gives the solved-for d.
     """
+    l = symbol_group_count(n_t)
+    real(tail_tol, "tail_tol", gt=0.0, lt=1.0)
     lam_da = active_density(cfg)
     floor = _CELL_CHECK_RADII / math.sqrt(math.pi * cfg.lambda_b)
     if lam_da == 0.0:
         return floor
     eps = select_epsilon(lam_da, cfg.lambda_b, cfg.epsilon_override)
-    l = symbol_group_count(n_t)
     s = eps * math.pi * cfg.lambda_b + 2.0 * math.pi * lam_da \
         * cfg.gamma_th ** (2.0 / cfg.alpha) * pgfl_kernel(cfg.alpha, l)
     coef = (2.0 * math.pi * lam_da * l * cfg.gamma_th
@@ -276,8 +268,9 @@ class _OriginSampler:
         sx, sy = _disc_xy(self.r_enb, [d[0] for d in draws])
         serve = np.argmin(np.hypot(sx, sy), axis=1)
         rows = np.arange(len(draws))
-        px, py = _disc_xy(self.r_int, [d[1] for d in draws], skip=1)
-        px[:, 0] = py[:, 0] = 0.0  # the tagged device
+        # the tagged device first, at uniforms (0, 0): exactly the origin
+        tagged = np.zeros((2, 1))
+        px, py = _disc_xy(self.r_int, [np.concatenate((tagged, d[1]), axis=1) for d in draws])
         dist = np.hypot(px - sx[rows, serve][:, None], py - sy[rows, serve][:, None])
         # exact membership test only where same-cell is not already impossible
         same_cell = np.zeros(dist.shape, dtype=bool)

@@ -171,6 +171,8 @@ def run_custom(cfg: AppConfig, engine: Engine) -> SweepTable:
     key, values = cfg.sweep_key, tuple(cfg.sweep_values)
     if key not in KEYS:
         raise ConfigError(f"swept parameter {key!r} is not a configuration key")
+    if key in ("sweep_key", "sweep_values", "target"):
+        raise ConfigError(f"swept parameter {key!r} names the sweep itself")
     if not values:
         raise ConfigError("sweep values must be non-empty")
     diffs = [b - a for a, b in zip(values, values[1:])]

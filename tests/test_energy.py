@@ -307,6 +307,8 @@ def test_chain_matches_event_loop_in_law(mu0, n_t, m0, budget):
 def test_chain_validation():
     with pytest.raises(ConfigError):
         simulate_energy_chain(EnergyConfig(), num_transitions=0)
+    with pytest.raises(ConfigError, match="seed"):  # once numpy's ValueError
+        simulate_energy_chain(EnergyConfig(), num_transitions=1000, seed=-1)
 
 
 @pytest.mark.parametrize("budget", [1e5, math.nan], ids=["float", "nan"])

@@ -1,12 +1,17 @@
 """Module boundaries: no module imports another module's private names, every
-public name has a caller, every function the benchmark traces is bound where
-it looks, and launches that need no scipy load none."""
+public name has a caller, every public numeric input is in the contract
+test's table, every function the benchmark traces is bound where it looks,
+and launches that need no scipy load none."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
+
+from test_contract import CONTRACT, numeric_parameters
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nbrach"
 BENCH = PACKAGE.parent.parent / "perfbench"
@@ -57,6 +62,42 @@ def test_public_names_have_callers():
     uncalled = sorted(set(nbrach.__all__) - used - set(TEST_ONLY_NAMES))
     assert uncalled == []
     assert set(TEST_ONLY_NAMES) <= set(nbrach.__all__)
+
+
+# public dataclasses with numeric fields that the package returns and never
+# takes as input, so their fields have no contract to check
+RESULT_RECORDS = {"AvailabilityResult", "ChainEstimate", "RachSuccessDetail",
+                  "RachEstimate", "SimulationSummary"}
+
+
+def _public_callables(module):
+    """(qualified name, callable) of each public function and input
+    dataclass the module defines, and of each public method of its classes."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj) or (dataclasses.is_dataclass(obj)
+                                       and name not in RESULT_RECORDS):
+            yield name, obj
+        if inspect.isclass(obj):
+            yield from ((f"{name}.{attr}", getattr(obj, attr))
+                        for attr, member in vars(obj).items()
+                        if not attr.startswith("_") and (
+                            inspect.isfunction(member)
+                            or isinstance(member, (classmethod, staticmethod))))
+
+
+def test_public_numeric_inputs_have_contract_entries():
+    # a new public int or float input fails here until test_contract checks
+    # that it rejects NaN and the infinities
+    import nbrach
+
+    modules = {p.stem: importlib.import_module(f"nbrach.{p.stem}")
+               for p in sorted(PACKAGE.glob("[!_]*.py"))}
+    found = {f"{stem}.{qualname}" for stem, module in modules.items()
+             for qualname, func in _public_callables(module) if numeric_parameters(func)}
+    assert found == set(CONTRACT)
+    assert RESULT_RECORDS <= set(nbrach.__all__)
 
 
 # functions the benchmark's tracer still lists that the program no longer

@@ -2,13 +2,15 @@
 symbol-group success, cell-load law and the collision-averaged success."""
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nbrach import rach
+from nbrach import rach, sweep
+from nbrach.config import build_config
 from nbrach.errors import ConfigError, NumericError
 from nbrach.quadrature import QuadratureSettings, improper_integral
 from nbrach.rach import (
@@ -26,6 +28,7 @@ from nbrach.rach import (
     select_epsilon,
     symbol_group_count,
 )
+from nbrach.sweep import Engine, SweepTarget, run_preset
 
 DESK = ChannelConfig(lambda_b=1.0, lambda_d=1000.0)
 
@@ -312,9 +315,13 @@ def test_cell_load_empty_field():
     lambda: cell_load_pmf(0, 0.1, math.inf),
     lambda: cell_load_pmf(0, math.inf, 0.1),
     lambda: cell_load_truncation(math.inf, 1.0),
+    lambda: select_epsilon(0.1, 1.0, -1.0),
+    lambda: pgfl_kernel(1.5, 4),
+    lambda: pgfl_kernel(2.0, 4),
 ], ids=["select_epsilon-lambda_b", "cell_load_pmf-lambda_b", "cell_load_pmf-lambda_da",
         "select_epsilon-lambda_da", "select_epsilon-negative", "cell_load_pmf-inf-lambda_b",
-        "cell_load_pmf-inf-lambda_da", "cell_load_truncation-inf"])
+        "cell_load_pmf-inf-lambda_da", "cell_load_truncation-inf",
+        "select_epsilon-negative-override", "pgfl_kernel-alpha-below-2", "pgfl_kernel-alpha-2"])
 def test_sign_checks_reject_nan(call):
     # written `x < 0.0`, a sign check returns 1.0 or NaN for a NaN input; an
     # unbounded one lets +inf through to a math domain error or NaN masses
@@ -339,6 +346,30 @@ def test_truncation_rule():
             below = cell_load_pmf(np.arange(n_star), rho, 1.0).sum()
             assert below < 1.0 - 1e-8
     assert cell_load_truncation(0.0, 1.0) == 0
+
+
+@pytest.mark.parametrize("mode", list(InterferenceMode))
+def test_cell_load_factor_against_exact_pgf(monkeypatch, mode):
+    # the load N is negative binomial, so E[(1 - p)^N] = (1 + rho p / c)^-(c + 1)
+    # exactly; the truncated sum counts the tail as failure, so at every
+    # operating point of fig7-fig12 it falls short of the exact factor by at
+    # most p times the tail mass
+    seen = []
+
+    def detail_value(n_t, cfg, mode, settings):
+        d = rach_success_detail(n_t, cfg, mode, settings)
+        seen.append((d, active_density(cfg) / cfg.lambda_b))
+        return d.value
+
+    monkeypatch.setitem(sweep._ANALYTIC_RACH, SweepTarget.RACH_SUCCESS, detail_value)
+    for name in ("fig7", "fig8", "fig9", "fig10", "fig11", "fig12"):
+        run_preset(name, replace(build_config({}), mode=mode), Engine.ANALYTIC)
+    assert len(seen) == 117
+    c = rach.VORONOI_SHAPE
+    for d, rho in seen:
+        p = d.preamble_success
+        exact = p * (1.0 + rho * p / c) ** -(c + 1.0)
+        assert 0.0 <= exact - d.value <= p * d.tail_bound
 
 
 # ------------------------------------------------------------- rach success

@@ -29,6 +29,8 @@ COLOCATED = (np.array([0.3, 0.3]), np.array([True, True]))
 def test_region_validation():
     with pytest.raises(ConfigError):
         Region(0.0)
+    with pytest.raises(ConfigError, match="area_km2"):
+        Region.from_area(-1.0)
     assert Region.from_area(np.pi).radius == pytest.approx(1.0)
     assert Region(3.0).area == pytest.approx(9.0 * np.pi)
 
@@ -232,6 +234,9 @@ def test_horizon_behaviour():
     assert d_tight > d_loose > 0.0
     empty = ChannelConfig(lambda_b=1.0, lambda_d=0.0)
     assert interference_horizon(empty, 1, 1e-3) == pytest.approx(5.0 / np.sqrt(np.pi))
+    for tail_tol in (0.0, -1.0, 1.0):  # once a ZeroDivisionError, a TypeError and a radius
+        with pytest.raises(ConfigError, match="tail_tol"):
+            interference_horizon(DESK, 1, tail_tol)
 
 
 # ------------------------------------------------------- finite-window mode

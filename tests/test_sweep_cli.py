@@ -45,6 +45,14 @@ def test_spec_validation():
     run_custom(replace(cfg, sweep_values=(8.0, 4.0, 2.0)), Engine.ANALYTIC)
 
 
+@pytest.mark.parametrize("key", ["sweep_key", "sweep_values", "target"])
+def test_spec_keys_cannot_be_swept(key):
+    # `sweep_key = sweep_key` once exited 0 with a table in which nothing varies
+    cfg = desk_config(sweep_key=key, sweep_values="1, 2", target="rach")
+    with pytest.raises(ConfigError, match="names the sweep itself"):
+        run_custom(cfg, Engine.ANALYTIC)
+
+
 def test_table_row_width_check():
     with pytest.raises(ConfigError, match="width"):
         SweepTable(columns=("a", "b"), rows=((1.0,),))
