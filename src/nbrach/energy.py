@@ -76,6 +76,9 @@ class EnergyConfig:
         real(self.p, "p", gt=0.0)
         real(self.e0_ra, "e0_ra", gt=0.0)
         real(self.e0_da, "e0_da", ge=0.0)
+        # the depletion rate of each bound (depletion_rate) must not overflow or underflow
+        real(self.a_a * self.p / self.e0_ra, "a_a*p/e0_ra", gt=0.0)
+        real(self.a_a * self.p / (self.e0_ra + self.e0_da), "a_a*p/(e0_ra+e0_da)", gt=0.0)
         integer(self.m0, "m0", ge=1)
         integer(self.n_t, "n_t", ge=1, le=self.m0)
         if self.enforce_standard_repetitions and self.n_t not in STANDARD_REPETITIONS:

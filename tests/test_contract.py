@@ -103,3 +103,15 @@ def test_non_finite_numbers_rejected(entry, name):
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError, match=rf"^{named}\b"):
             func(**{**kwargs, name: value})
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"e0_ra": 5e-324}, "a_a*p/e0_ra"),                            # overflows to inf
+    ({"a_a": 1e-300, "p": 1e-300}, "a_a*p/e0_ra"),                 # underflows to 0
+    ({"e0_ra": 1e307, "e0_da": 1.7e308}, "a_a*p/(e0_ra+e0_da)"),  # the sum overflows
+])
+def test_energy_depletion_rate_names_its_inputs(fields, named):
+    # each field is valid alone, but the depletion rate it feeds is not: the
+    # error names the fields the user set, not the derived rate nu0
+    with pytest.raises(ConfigError, match=rf"^{re.escape(named)} must be a finite number"):
+        EnergyConfig(**fields)

@@ -28,13 +28,21 @@ def test_no_private_cross_module_imports():
     assert offenders == []
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported where a quadrature or log-gamma is evaluated, so a
-    # launch that needs neither does not pay for it
-    code = "import sys, nbrach.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def scipy_loaded_by(*sweeps) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running each sweep
+    (a list of `nbrach sweep` arguments)."""
+    code = "import sys, nbrach.cli\n" + "".join(
+        f"assert nbrach.cli.main(['sweep', *{args!r}]) == 0\n" for args in sweeps) + \
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return ast.literal_eval(out.strip())
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.special is imported where a special function is evaluated, so a
+    # launch that needs none does not pay for it
+    assert scipy_loaded_by() == []
 
 
 # public names that only the tests call, each with its reason
@@ -133,14 +141,26 @@ def test_benchmark_traced_functions_resolve():
 def test_closed_form_presets_load_no_scipy(tmp_path):
     # the availability presets need no quadrature and no log-gamma, analytic
     # or simulated, so their launches skip the scipy import
-    code = (
-        "import sys, nbrach.cli\n"
-        f"assert nbrach.cli.main(['sweep', '--preset', 'fig5', '--out', {str(tmp_path / 'a.csv')!r}]) == 0\n"
-        "assert nbrach.cli.main(['sweep', '--preset', 'fig6', '--engine', 'both', '--seed', '1',"
-        f" '--out', {str(tmp_path / 'b.csv')!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
-    assert (tmp_path / "a.csv").stat().st_size > 0 and (tmp_path / "b.csv").stat().st_size > 0
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert scipy_loaded_by(["--preset", "fig5", "--out", str(a)],
+                           ["--preset", "fig6", "--engine", "both", "--seed", "1",
+                            "--out", str(b)]) == []
+    assert a.stat().st_size > 0 and b.stat().st_size > 0
+
+
+def test_rach_presets_load_no_scipy_integrate(tmp_path):
+    # QUADPACK is transcribed, so analytic rach launches load scipy.special
+    # alone, and a simulated one, which sizes its interferer window with
+    # the kernel quadrature, loads no scipy at all
+    intra = tmp_path / "intra.cfg"
+    intra.write_text("mode = intra\n", encoding="utf-8")
+    analytic = scipy_loaded_by(["--preset", "fig10", "--out", str(tmp_path / "full.csv")],
+                               ["--preset", "fig10", "--config", str(intra),
+                                "--out", str(tmp_path / "intra.csv")])
+    assert "scipy.special" in analytic
+    assert [m for m in analytic if m.startswith(
+        ("scipy.integrate", "scipy.optimize", "scipy.sparse"))] == []
+    few = tmp_path / "few.cfg"
+    few.write_text("replications = 50\n", encoding="utf-8")
+    assert scipy_loaded_by(["--preset", "fig10", "--engine", "sim", "--seed", "1", "--config",
+                            str(few), "--out", str(tmp_path / "sim.csv")]) == []
