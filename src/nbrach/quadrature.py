@@ -42,12 +42,13 @@ def improper_integral(func, settings: QuadratureSettings | None = None) -> tuple
     """Integrate func over the half line [0, inf).
 
     Returns (value, error_estimate).  Raises QuadratureError with the best
-    estimate attached when the adaptive scheme cannot meet the tolerance.
+    estimate attached when the adaptive scheme cannot meet the tolerance or
+    QUADPACK flags the result (say, as probably divergent).
     """
     q = settings or QuadratureSettings()
     value, abserr, ier, _ = _qagi(func, q.abs_tol, q.rel_tol, q.max_subdivisions)
     tolerance = q.rel_tol * abs(value) + q.abs_tol
-    if abserr > tolerance:
+    if ier or abserr > tolerance:
         raise QuadratureError(
             f"quadrature did not converge: {_FLAGS[ier].format(q.max_subdivisions)}" if ier else
             f"quadrature error estimate {abserr:.3e} exceeds tolerance {tolerance:.3e}",

@@ -263,9 +263,8 @@ def preamble_success_prob(n_t: int, cfg: ChannelConfig,
 def cell_load_pmf(n, lambda_da: float, lambda_b: float):
     """Distribution of how many other same-preamble transmitters share the
     serving cell: negative binomial from the gamma cell-area law, evaluated
-    in the log-gamma domain.  Vectorises over n."""
-    from scipy.special import gammaln  # imported on use: scipy dominates start-up
-
+    in the log-gamma domain with the stdlib's `math.lgamma`, element by
+    element.  Vectorises over n."""
     real(lambda_b, "lambda_b", gt=0.0)
     real(lambda_da, "lambda_da", ge=0.0)
     n_arr = np.asarray(n)
@@ -278,13 +277,17 @@ def cell_load_pmf(n, lambda_da: float, lambda_b: float):
     c = VORONOI_SHAPE
     rho = lambda_da / lambda_b
     log_pmf = ((c + 1.0) * math.log(c)
-               + gammaln(n_arr + c + 1.0)
-               - gammaln(c + 1.0)
-               - gammaln(n_arr + 1.0)
+               + _lgamma(n_arr + c + 1.0)
+               - math.lgamma(c + 1.0)
+               - _lgamma(n_arr + 1.0)
                + n_arr * math.log(rho)
                - (n_arr + c + 1.0) * math.log(rho + c))
     out = np.exp(log_pmf)
     return out if out.ndim else float(out)
+
+
+# math.lgamma element by element, so the cell-load law needs no scipy
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 def cell_load_truncation(lambda_da: float, lambda_b: float, tail_mass: float = 1e-8) -> int:

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from test_contract import CONTRACT, numeric_parameters
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nbrach"
@@ -149,18 +151,26 @@ def test_closed_form_presets_load_no_scipy(tmp_path):
 
 
 def test_rach_presets_load_no_scipy_integrate(tmp_path):
-    # QUADPACK is transcribed, so analytic rach launches load scipy.special
-    # alone, and a simulated one, which sizes its interferer window with
-    # the kernel quadrature, loads no scipy at all
+    # QUADPACK is transcribed, so an INTRA launch loads scipy.special alone,
+    # for its incomplete-beta kernel
     intra = tmp_path / "intra.cfg"
     intra.write_text("mode = intra\n", encoding="utf-8")
-    analytic = scipy_loaded_by(["--preset", "fig10", "--out", str(tmp_path / "full.csv")],
-                               ["--preset", "fig10", "--config", str(intra),
+    analytic = scipy_loaded_by(["--preset", "fig10", "--config", str(intra),
                                 "--out", str(tmp_path / "intra.csv")])
     assert "scipy.special" in analytic
     assert [m for m in analytic if m.startswith(
         ("scipy.integrate", "scipy.optimize", "scipy.sparse"))] == []
+
+
+@pytest.mark.parametrize("preset,engine", [
+    *((f"fig{k}", "analytic") for k in range(7, 14)), ("fig10", "both")])
+def test_full_rach_launches_load_no_scipy(tmp_path, preset, engine):
+    # the cell-load law takes math.lgamma and the FULL kernel is a
+    # transcribed quadrature, so neither an analytic launch nor a simulated
+    # one, which sizes its interferer window with that kernel, needs scipy
     few = tmp_path / "few.cfg"
     few.write_text("replications = 50\n", encoding="utf-8")
-    assert scipy_loaded_by(["--preset", "fig10", "--engine", "sim", "--seed", "1", "--config",
-                            str(few), "--out", str(tmp_path / "sim.csv")]) == []
+    out = tmp_path / "out.csv"
+    assert scipy_loaded_by(["--preset", preset, "--engine", engine, "--seed", "1",
+                            "--config", str(few), "--out", str(out)]) == []
+    assert out.stat().st_size > 0

@@ -45,6 +45,17 @@ def test_nonconvergence_carries_best_estimate():
     assert info.value.error_estimate is not None
 
 
+@pytest.mark.parametrize("exponent", [0.3, 0.5, 0.7])
+def test_divergent_integral_raises(exponent):
+    # (1 + t)^-e with e < 1 has no finite integral; QUADPACK flags it as
+    # probably divergent even when its error estimate meets the tolerance
+    with pytest.raises(QuadratureError, match="^quadrature did not converge: "
+                                              "integral probably divergent$") as info:
+        improper_integral(lambda t: (1.0 + t) ** -exponent)
+    assert info.value.best_estimate == pytest.approx(-1.0 / (1.0 - exponent), rel=1e-9)
+    assert info.value.error_estimate is not None
+
+
 def test_settings_validation():
     with pytest.raises(ConfigError):
         QuadratureSettings(rel_tol=0.0)

@@ -372,6 +372,48 @@ def test_cell_load_factor_against_exact_pgf(monkeypatch, mode):
         assert 0.0 <= exact - d.value <= p * d.tail_bound
 
 
+def gammaln_pmf(n: np.ndarray, lambda_da: float, lambda_b: float):
+    # the law in scipy's gammaln, with the same operation order as
+    # cell_load_pmf; also returns the magnitude of the log-domain sum
+    from scipy.special import gammaln
+
+    c = rach.VORONOI_SHAPE
+    rho = lambda_da / lambda_b
+    terms = ((c + 1.0) * math.log(c), gammaln(n + c + 1.0), -gammaln(c + 1.0),
+             -gammaln(n + 1.0), n * math.log(rho), -(n + c + 1.0) * math.log(rho + c))
+    return np.exp(sum(terms)), sum(np.abs(t) for t in terms)
+
+
+def test_cell_load_pmf_matches_gammaln_form(monkeypatch):
+    # the stdlib and scipy log-gamma agree to about an ulp, so the two laws
+    # agree to 1e-14 relative plus the float spacing of their log-domain sum
+    # (up to ~2e5 at n = CELL_LOAD_CAP), and to one subnormal step near
+    # underflow; checked over the whole support at three loads and at every
+    # operating point of fig7-fig12
+    points = {(1e-3, 1.0), (1.0, 1.0), (100.0, 1.0)}
+
+    def recording_pmf(n, lambda_da, lambda_b):
+        points.add((lambda_da, lambda_b))
+        return cell_load_pmf(n, lambda_da, lambda_b)
+
+    monkeypatch.setattr(rach, "cell_load_pmf", recording_pmf)
+    for name in ("fig7", "fig8", "fig9", "fig10", "fig11", "fig12"):
+        run_preset(name, build_config({}), Engine.ANALYTIC)
+    assert len(points) > 3
+    n = np.arange(rach.CELL_LOAD_CAP + 1)
+    eps = np.finfo(float).eps
+    for lambda_da, lambda_b in sorted(points):
+        got = cell_load_pmf(n, lambda_da, lambda_b)
+        want, scale = gammaln_pmf(n, lambda_da, lambda_b)
+        assert got.dtype == np.float64
+        bound = want * (1e-14 + 2.0 * eps * scale) + 2.0 ** -1074
+        assert np.all(np.abs(got - want) <= bound), (lambda_da, lambda_b)
+    scalar = cell_load_pmf(3, 0.1, 0.1)
+    assert type(scalar) is float
+    assert scalar == pytest.approx(float(gammaln_pmf(np.asarray(3), 0.1, 0.1)[0]), rel=1e-14)
+    assert type(cell_load_pmf(np.int64(3), 0.1, 0.1)) is float
+
+
 # ------------------------------------------------------------- rach success
 
 
