@@ -11,6 +11,8 @@ field of interferers on the same preamble, and the load of the serving
 cell.  Each joint success is one quadrature over the serving distance, with
 one interference exponent for both modes (the unbounded kernel adds one
 quadrature; the cell-truncated one is closed-form), plus a cell-load sum.
+Only the cell-truncated kernel at alpha != 4 imports scipy (`scipy.special`,
+on use); at alpha = 4 its incomplete beta is the arcsine law.
 """
 
 from __future__ import annotations
@@ -153,6 +155,17 @@ def pgfl_kernel(alpha: float, l: int, settings: QuadratureSettings | None = None
     return value
 
 
+def _incomplete_beta(d: float):
+    """I_x(a, b), called as (a, b, x), and B(d, 1 - d).  At d = 1/2 (alpha = 4)
+    they are the arcsine law and pi: asin(sqrt(x)) * 2 / pi, in that order,
+    and gamma(1/2)^2, one ulp below math.pi, are scipy's betainc and beta bit
+    for bit, where `2 / pi * asin(...)` or math.pi would move bytes."""
+    if d == 0.5:
+        return (lambda _a, _b, x: math.asin(math.sqrt(x)) * 2.0 / math.pi), math.gamma(0.5) ** 2
+    from scipy.special import beta, betainc  # imported on use: scipy dominates start-up
+    return betainc, beta(d, 1.0 - d)
+
+
 def _truncated_kernel(alpha: float, l: int):
     """pgfl_kernel's integral over [0, U] instead, in closed form, as a
     function of U.  With delta = 2/alpha and X = U^alpha / (1 + U^alpha) it is
@@ -161,13 +174,12 @@ def _truncated_kernel(alpha: float, l: int):
     (delta/2) [Q_l B_0 - X^delta (1-X)^(1-delta) sum_{i<l-1} w_i X^i], where
     P_j = Gamma(j + delta) / (Gamma(delta) j!), Q_k = sum_{j<k} P_j and
     w_i = (Q_l - Q_{i+1}) / ((i + 1) P_{i+1}) > 0 are built once per call."""
-    from scipy.special import beta, betainc  # imported on use: scipy dominates start-up
-
     d = 2.0 / alpha
+    betainc, b_full = _incomplete_beta(d)
     j = np.arange(1, l)
     p = np.cumprod((j - 1.0 + d) / j)  # P_1 .. P_{l-1}; P_0 = 1
     tails = np.cumsum(p[::-1])[::-1]   # Q_l - Q_{i+1}, summed without cancellation
-    q_l, w, powers, b_full = 1.0 + tails[0], tails / (j * p), np.arange(l - 1.0), beta(d, 1.0 - d)
+    q_l, w, powers = 1.0 + tails[0], tails / (j * p), np.arange(l - 1.0)
 
     def kernel(upper: float) -> float:
         log_ua = alpha * math.log(upper)  # X and 1 - X without cancellation or overflow
@@ -295,13 +307,15 @@ def cell_load_truncation(lambda_da: float, lambda_b: float, tail_mass: float = 1
     capped at CELL_LOAD_CAP."""
     real(tail_mass, "tail_mass", gt=0.0, lt=1.0)
     target = 1.0 - tail_mass
-    block = 256
     total = 0.0
     start = 0
     while start <= CELL_LOAD_CAP:
-        stop = min(start + block, CELL_LOAD_CAP + 1)
+        # blocks of 256, the first grown 32, 32, 64, 128 with its running sum
+        # carried: the cumsum of one 256-term block, while n* < 32 costs 32 terms
+        stop = min(start + min(max(start, 32), 256), CELL_LOAD_CAP + 1)
         masses = cell_load_pmf(np.arange(start, stop), lambda_da, lambda_b)
-        cum = total + np.cumsum(masses)
+        cum = (np.cumsum(np.insert(masses, 0, total))[1:] if start < 256
+               else total + np.cumsum(masses))
         hit = np.nonzero(cum >= target)[0]
         if hit.size:
             return start + int(hit[0])

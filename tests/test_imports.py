@@ -151,25 +151,35 @@ def test_closed_form_presets_load_no_scipy(tmp_path):
 
 
 def test_rach_presets_load_no_scipy_integrate(tmp_path):
-    # QUADPACK is transcribed, so an INTRA launch loads scipy.special alone,
+    # QUADPACK is transcribed and alpha = 4 takes the arcsine law, so only an
+    # INTRA launch at another alpha loads scipy, and then scipy.special alone,
     # for its incomplete-beta kernel
-    intra = tmp_path / "intra.cfg"
-    intra.write_text("mode = intra\n", encoding="utf-8")
-    analytic = scipy_loaded_by(["--preset", "fig10", "--config", str(intra),
-                                "--out", str(tmp_path / "intra.csv")])
+    general = tmp_path / "alpha3.cfg"
+    general.write_text("mode = intra\nalpha = 3\n", encoding="utf-8")
+    analytic = scipy_loaded_by(["--preset", "fig10", "--config", str(general),
+                                "--out", str(tmp_path / "alpha3.csv")])
     assert "scipy.special" in analytic
     assert [m for m in analytic if m.startswith(
         ("scipy.integrate", "scipy.optimize", "scipy.sparse"))] == []
 
 
-@pytest.mark.parametrize("preset,engine", [
-    *((f"fig{k}", "analytic") for k in range(7, 14)), ("fig10", "both")])
-def test_full_rach_launches_load_no_scipy(tmp_path, preset, engine):
-    # the cell-load law takes math.lgamma and the FULL kernel is a
-    # transcribed quadrature, so neither an analytic launch nor a simulated
-    # one, which sizes its interferer window with that kernel, needs scipy
+# (preset, engine, mode) of each rach launch that loads no scipy; a FULL
+# case's id leaves out its mode, as it did before INTRA cases were added
+NO_SCIPY_LAUNCHES = [*((f"fig{k}", "analytic", "full") for k in range(7, 14)),
+                     ("fig10", "both", "full"),
+                     *((f"fig{k}", "analytic", "intra") for k in range(7, 14))]
+
+
+@pytest.mark.parametrize("preset,engine,mode", [
+    pytest.param(*launch, id="-".join(launch[:2] if launch[2] == "full" else launch))
+    for launch in NO_SCIPY_LAUNCHES])
+def test_full_rach_launches_load_no_scipy(tmp_path, preset, engine, mode):
+    # the cell-load law takes math.lgamma, the FULL kernel is a transcribed
+    # quadrature and the INTRA kernel at the presets' alpha = 4 the arcsine
+    # law, so neither an analytic launch nor a simulated one, which sizes its
+    # interferer window with the FULL kernel, needs scipy
     few = tmp_path / "few.cfg"
-    few.write_text("replications = 50\n", encoding="utf-8")
+    few.write_text(f"replications = 50\nmode = {mode}\n", encoding="utf-8")
     out = tmp_path / "out.csv"
     assert scipy_loaded_by(["--preset", preset, "--engine", engine, "--seed", "1",
                             "--config", str(few), "--out", str(out)]) == []

@@ -97,6 +97,36 @@ def test_truncated_kernel_unbounded_limit(alpha, l):
     assert kernel(1e200) == kernel(math.inf)
 
 
+def test_alpha4_incomplete_beta_is_scipys_bit_for_bit():
+    # at alpha = 4 the truncated kernel takes the arcsine law for scipy's
+    # betainc and gamma(1/2)^2 for its beta; should scipy's values move,
+    # this names the cause where the golden CSVs would only differ
+    from scipy.special import beta, betainc
+
+    inc, b_full = rach._incomplete_beta(0.5)
+    assert b_full == beta(0.5, 0.5) and b_full != math.pi
+    rng = np.random.default_rng(15)
+    below_half = np.nextafter(0.5, 0.0) - np.arange(4) * 2.0 ** -54
+    xs = np.concatenate([10.0 ** rng.uniform(-300.0, 0.0, 60_000), rng.uniform(0.0, 1.0, 60_000),
+                         np.linspace(0.0, 0.5, 100_001), below_half,
+                         [0.0, 5e-324, 0.5, np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0), 1.0]])
+    got = np.array([inc(0.5, 0.5, x) for x in xs])
+    assert xs[got != betainc(0.5, 0.5, xs)].tolist() == []
+
+
+def test_alpha4_truncated_kernel_is_scipys_bit_for_bit(monkeypatch):
+    # the kernel built on the arcsine law is the one built on scipy's pair,
+    # bit for bit, at every group count up to 128 and every U, U = inf included
+    from scipy.special import beta, betainc
+
+    uppers = [*np.logspace(-6.0, 6.0, 241), 1e200, math.inf]
+    kernels = {l: rach._truncated_kernel(4.0, l) for l in range(4, 129, 4)}
+    monkeypatch.setattr(rach, "_incomplete_beta", lambda d: (betainc, beta(d, 1.0 - d)))
+    for l, kernel in kernels.items():
+        reference = rach._truncated_kernel(4.0, l)
+        assert [kernel(u) for u in uppers] == [reference(u) for u in uppers], l
+
+
 def exponent(r0: float, l: int, cfg: ChannelConfig,
              mode: InterferenceMode = InterferenceMode.FULL) -> float:
     return rach._exponent(l, cfg, mode, QuadratureSettings())(r0)
@@ -346,6 +376,18 @@ def test_truncation_rule():
             below = cell_load_pmf(np.arange(n_star), rho, 1.0).sum()
             assert below < 1.0 - 1e-8
     assert cell_load_truncation(0.0, 1.0) == 0
+
+
+def test_truncation_first_block_is_one_cumsum():
+    # the first 256 terms are evaluated 32, 32, 64 and 128 at a time with the
+    # running sum carried, so each cumulative value is that of one 256-term
+    # cumsum: a target set to any of them (1 - (1 - c) is exact for c in
+    # [1/2, 1)) is first reached at its own index
+    for rho in np.logspace(0.0, np.log10(30.0), 12):
+        cum = np.cumsum(cell_load_pmf(np.arange(256), rho, 1.0))
+        rises = np.diff(cum, prepend=0.0) > 0.0
+        for k in np.nonzero((cum >= 0.5) & (cum < 1.0) & rises)[0]:
+            assert cell_load_truncation(rho, 1.0, 1.0 - cum[k]) == k, (rho, k)
 
 
 @pytest.mark.parametrize("mode", list(InterferenceMode))
