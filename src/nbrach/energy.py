@@ -168,16 +168,17 @@ def neg_B_inverse(mu0: float, nu0: float, capacity: int, exact: bool = False) ->
     num = Fraction if exact else float
     rho, inv_nu = num(mu0) / num(nu0), 1 / num(nu0)
     # With S_j = sum_{i<j} rho^i, entry (m, n) = rho^max(n-m, 0) S_min(m,n) / nu0:
-    # on and below the diagonal it is the column value S_n / nu0.
-    powers, sums = [num(1)], [num(1)]  # rho^i and S_(i+1), i = 0..capacity-1
+    # S_n / nu0 on and below the diagonal; right of it, rho times its left neighbour.
+    power, sums = num(1), [num(1)]  # rho^i and S_(i+1), i = 0..capacity-1
     for _ in range(capacity - 1):
-        powers.append(powers[-1] * rho)
-        sums.append(sums[-1] + powers[-1])
+        power *= rho
+        sums.append(sums[-1] + power)
     column = [s * inv_nu for s in sums]
     out = np.empty((capacity, capacity), dtype=object if exact else float)
     for m in range(capacity):
         out[m, :m + 1] = column[:m + 1]
-        out[m, m + 1:] = [powers[d] * column[m] for d in range(1, capacity - m)]
+        for n in range(m + 1, capacity):
+            out[m, n] = out[m, n - 1] * rho
     return out
 
 

@@ -8,9 +8,10 @@ device in the same cell pushes the same preamble through simultaneously.
 
 The analytics average over Rayleigh fading per symbol group, a Poisson
 field of interferers on the same preamble, and the load of the serving
-cell.  Each joint success is one quadrature over the serving distance, with
-one interference exponent for both modes (the unbounded kernel adds one
-quadrature; the cell-truncated one is closed-form), plus a cell-load sum.
+cell.  Each distinct joint success is one quadrature over the serving
+distance per process (memoised: repetition counts and series share them),
+with one interference exponent for both modes (the unbounded kernel adds one
+memoised quadrature; the cell-truncated one is closed-form), plus a cell-load sum.
 Only the cell-truncated kernel at alpha != 4 imports scipy (`scipy.special`,
 on use); at alpha = 4 its incomplete beta is the arcsine law.
 """
@@ -18,6 +19,7 @@ on use); at alpha = 4 its incomplete beta is the arcsine law.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +41,9 @@ MAX_ANALYTIC_REPETITIONS = 32
 
 # Largest cell-load truncation point n*, whatever the tail mass.
 CELL_LOAD_CAP = 10_000
+
+# Memo bounds; the largest preset launch needs 96 joint successes, 32 kernels.
+_JOINT_MEMO_SIZE, _KERNEL_MEMO_SIZE = 4096, 256
 
 # One NB-IoT tone, Hz.
 DEFAULT_TONE_BANDWIDTH_HZ = 3750.0
@@ -141,8 +146,11 @@ def pgfl_kernel(alpha: float, l: int, settings: QuadratureSettings | None = None
     2 pi lambda_Da gamma_th^(2/alpha) r0^2 at serving distance r0.  g goes
     through expm1/log1p so its tail (~ l u^(1-alpha)) keeps relative accuracy."""
     real(alpha, "alpha", gt=2.0)
-    l = _check_symbol_groups(l)
+    return _pgfl_kernel(alpha, _check_symbol_groups(l), settings or QuadratureSettings())
 
+
+@functools.lru_cache(maxsize=_KERNEL_MEMO_SIZE)
+def _pgfl_kernel(alpha: float, l: int, q: QuadratureSettings) -> float:
     def g(u: float) -> float:
         if u <= 0.0:
             return 0.0
@@ -151,7 +159,7 @@ def pgfl_kernel(alpha: float, l: int, settings: QuadratureSettings | None = None
             return u
         return -math.expm1(-l * math.log1p(math.exp(log_x))) * u
 
-    value, _ = improper_integral(g, settings or QuadratureSettings())
+    value, _ = improper_integral(g, q)
     return value
 
 
@@ -206,8 +214,6 @@ def _exponent(l: int, cfg: ChannelConfig, mode: InterferenceMode, q: QuadratureS
     if mode is InterferenceMode.FULL:
         kernel = pgfl_kernel(cfg.alpha, l, q)
         return lambda r0: coef * r0 * r0 * kernel
-    if mode is not InterferenceMode.INTRA_CELL_ONLY:
-        raise ConfigError("mode must be an InterferenceMode")
     kernel = _truncated_kernel(cfg.alpha, l)
     reach = 1.0 / (math.sqrt(math.pi * cfg.lambda_b) * cfg.gamma_th ** (1.0 / cfg.alpha))
     return lambda r0: coef * r0 * r0 * kernel(reach / r0)
@@ -230,8 +236,15 @@ def joint_symbol_success(l: int, cfg: ChannelConfig,
     Integrated in the squared-distance variable, where the distance law
     is a pure exponential and the unbounded-field exponent is linear.
     """
-    q = settings or QuadratureSettings()
-    l = _check_symbol_groups(l)
+    if not isinstance(mode, InterferenceMode):
+        raise ConfigError("mode must be an InterferenceMode")
+    return _joint_symbol_success(_check_symbol_groups(l), cfg, mode,
+                                 settings or QuadratureSettings())
+
+
+@functools.lru_cache(maxsize=_JOINT_MEMO_SIZE)
+def _joint_symbol_success(l: int, cfg: ChannelConfig, mode: InterferenceMode,
+                          q: QuadratureSettings) -> float:
     lam_da = active_density(cfg)
     eps = select_epsilon(lam_da, cfg.lambda_b, cfg.epsilon_override)
     s_dist = eps * math.pi * cfg.lambda_b
@@ -305,23 +318,30 @@ _lgamma = np.vectorize(math.lgamma, otypes=[float])
 def cell_load_truncation(lambda_da: float, lambda_b: float, tail_mass: float = 1e-8) -> int:
     """Smallest n* whose cumulative cell-load mass reaches 1 - tail_mass,
     capped at CELL_LOAD_CAP."""
+    return _cell_load_head(lambda_da, lambda_b, tail_mass).size - 1
+
+
+def _cell_load_head(lambda_da: float, lambda_b: float, tail_mass: float) -> np.ndarray:
+    """The cell-load masses of 0..n* (see cell_load_truncation)."""
     real(tail_mass, "tail_mass", gt=0.0, lt=1.0)
     target = 1.0 - tail_mass
     total = 0.0
     start = 0
+    blocks = []
     while start <= CELL_LOAD_CAP:
         # blocks of 256, the first grown 32, 32, 64, 128 with its running sum
         # carried: the cumsum of one 256-term block, while n* < 32 costs 32 terms
         stop = min(start + min(max(start, 32), 256), CELL_LOAD_CAP + 1)
         masses = cell_load_pmf(np.arange(start, stop), lambda_da, lambda_b)
+        blocks.append(masses)
         cum = (np.cumsum(np.insert(masses, 0, total))[1:] if start < 256
                else total + np.cumsum(masses))
         hit = np.nonzero(cum >= target)[0]
         if hit.size:
-            return start + int(hit[0])
+            return np.concatenate(blocks)[:start + int(hit[0]) + 1]
         total = float(cum[-1])
         start = stop
-    return CELL_LOAD_CAP
+    return np.concatenate(blocks)
 
 
 def rach_success_detail(n_t: int, cfg: ChannelConfig,
@@ -337,9 +357,8 @@ def rach_success_detail(n_t: int, cfg: ChannelConfig,
     q = settings or QuadratureSettings()
     p_s = preamble_success_prob(n_t, cfg, mode, q)
     lam_da = active_density(cfg)
-    n_star = cell_load_truncation(lam_da, cfg.lambda_b, q.pmf_tail_mass)
-    counts = np.arange(n_star + 1)
-    masses = cell_load_pmf(counts, lam_da, cfg.lambda_b)
+    masses = _cell_load_head(lam_da, cfg.lambda_b, q.pmf_tail_mass)
+    counts = np.arange(masses.size)
     if p_s >= 1.0:
         no_collision = np.where(counts == 0, 1.0, 0.0)
     else:
@@ -347,7 +366,7 @@ def rach_success_detail(n_t: int, cfg: ChannelConfig,
     value = float(p_s * np.sum(masses * no_collision))
     tail = max(0.0, 1.0 - float(masses.sum()))
     return RachSuccessDetail(value=min(value, 1.0), preamble_success=p_s,
-                             tail_bound=tail, terms=n_star + 1)
+                             tail_bound=tail, terms=masses.size)
 
 
 def rach_success_prob(n_t: int, cfg: ChannelConfig,

@@ -100,7 +100,8 @@ def test_transcription_matches_quadpack_on_rach_integrands(monkeypatch, mode):
         rach.preamble_success_prob(n_t, cfg, mode)
     q = QuadratureSettings()
     args = q.abs_tol, q.rel_tol, q.max_subdivisions
-    assert len(integrands) == (56 if mode is InterferenceMode.FULL else 28)
+    # 28 joint successes; FULL adds the kernels for l = 4..64, each once
+    assert len(integrands) == (28 + 16 if mode is InterferenceMode.FULL else 28)
     for func in integrands:
         assert quadrature._qagi(func, *args) == quadpack(func, *args)
 

@@ -139,8 +139,9 @@ def test_exponent_modes():
     empty = ChannelConfig(lambda_b=1.0, lambda_d=0.0)
     for mode in InterferenceMode:
         assert exponent(0.5, 4, empty, mode) == 0.0
-    with pytest.raises(ConfigError, match="mode must be an InterferenceMode"):
-        joint_symbol_success(4, DESK, "full")
+    for mode in ("full", ["full"]):  # checked before the memo hashes it
+        with pytest.raises(ConfigError, match="mode must be an InterferenceMode"):
+            joint_symbol_success(4, DESK, mode)
 
 
 def test_exponent_intra_is_scaled_truncated_kernel():
@@ -550,3 +551,79 @@ def test_quadrature_settings_thread_through():
     v1 = joint_symbol_success(4, DESK, settings=loose)
     v2 = joint_symbol_success(4, DESK)
     assert v1 == pytest.approx(v2, rel=1e-5)
+
+
+# ------------------------------------------------------------------- memo
+
+
+@pytest.mark.parametrize("mode, quadratures", [(InterferenceMode.FULL, 96 + 32),
+                                               (InterferenceMode.INTRA_CELL_ONLY, 96)])
+def test_fig13_integrates_each_joint_and_kernel_once(monkeypatch, mode, quadratures):
+    # fig13 walks n_t = 1..32 at three points: 96 distinct joint successes
+    # and, in FULL mode, one kernel per l = 4..128 shared by all three
+    # (re-integrated per row and series, that was 378 and 189); each
+    # rach_success_detail evaluates the cell-load law once
+    calls, details, pmfs = [], [], []
+
+    def counting(log, func):
+        def wrapper(*args):
+            log.append(args)
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(rach, "improper_integral", counting(calls, improper_integral))
+    monkeypatch.setattr(rach, "rach_success_detail", counting(details, rach_success_detail))
+    monkeypatch.setattr(rach, "cell_load_pmf", counting(pmfs, cell_load_pmf))
+    run_preset("fig13", replace(build_config({}), mode=mode), Engine.ANALYTIC)
+    assert len(calls) == quadratures
+    assert len(details) == len(pmfs) == 18
+
+
+RACH_PRESETS = ("fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13")
+
+
+@pytest.mark.parametrize("mode", list(InterferenceMode))
+def test_warm_memo_gives_the_cold_tables(mode):
+    cfg = replace(build_config({}), mode=mode)
+    for name in RACH_PRESETS:
+        rach._joint_symbol_success.cache_clear()
+        rach._pgfl_kernel.cache_clear()
+        cold = run_preset(name, cfg, Engine.ANALYTIC)
+        warm = run_preset(name, cfg, Engine.ANALYTIC)
+        assert rach._joint_symbol_success.cache_info().hits > 0, name
+        assert (warm.columns, warm.rows) == (cold.columns, cold.rows), name
+
+
+MEMO_VARIANTS = {
+    "settings": (8, DESK, InterferenceMode.FULL, QuadratureSettings(rel_tol=1e-11)),
+    "mode": (8, DESK, InterferenceMode.INTRA_CELL_ONLY, None),
+    **{f: (8, replace(DESK, **{f: v}), InterferenceMode.FULL, None)
+       for f, v in (("alpha", 3.5), ("gamma_th", 10.0), ("p", 0.05), ("sigma2", 0.0),
+                    ("lambda_b", 2.0), ("lambda_d", 500.0), ("a_a", 0.002), ("eta0", 0.5),
+                    ("l_preambles", 24), ("epsilon_override", 1.1))},
+}
+
+
+@pytest.mark.parametrize("args", MEMO_VARIANTS.values(), ids=list(MEMO_VARIANTS))
+def test_memo_misses_on_any_changed_argument(args):
+    # the base point is memoised; a variant in one argument is a fresh
+    # evaluation, equal to the same evaluation from empty memos
+    joint_symbol_success(8, DESK)
+    before = rach._joint_symbol_success.cache_info()
+    value = joint_symbol_success(*args)
+    after = rach._joint_symbol_success.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+    rach._joint_symbol_success.cache_clear()
+    rach._pgfl_kernel.cache_clear()
+    assert joint_symbol_success(*args) == value
+    assert joint_symbol_success(*args) == value  # and from the memo
+
+
+def test_kernel_memo_keyed_by_alpha_groups_and_settings():
+    pgfl_kernel(4.0, 8)
+    for args in ((3.5, 8), (4.0, 12), (4.0, 8, QuadratureSettings(rel_tol=1e-11))):
+        misses = rach._pgfl_kernel.cache_info().misses
+        value = pgfl_kernel(*args)
+        assert rach._pgfl_kernel.cache_info().misses == misses + 1, args
+        rach._pgfl_kernel.cache_clear()
+        assert pgfl_kernel(*args) == value
