@@ -22,10 +22,12 @@ generator, or None when no station falls in the window, and `place`
 turns a chunk of them into the tagged stations' distances and same-cell
 masks, rejecting window attempts served from outside the guard.
 simulate_summary owns the one replication loop: seeding, redraw budget,
-chunks and tallies.  All that follows the draws (Cartesian positions,
-serving-station search, cell membership, pool sums, SINR) runs once per
-chunk on arrays padded to the chunk's widest attempt, and
-contention_outcome, the one scorer, scores a whole chunk in one pass.
+chunks and tallies.  All that follows the draws runs once per chunk on
+arrays padded to the chunk's widest attempt.  The origin construction
+places only the stations radially next to the nearest to find the serving
+one, and the rest only for trials with a device close enough to need the
+cell-membership search; contention_outcome, the one scorer, forms a whole
+chunk's received powers in its fading array and scores them in one pass.
 Pools add each trial's devices in row order, so a trial scores the same
 in any chunk: the chunking never changes a result or a CSV byte.
 """
@@ -58,7 +60,7 @@ _NORMAL_95 = 1.96
 
 # 8-byte values the arrays of one chunk of attempts may hold at once; it
 # bounds working memory and never changes a result
-_CHUNK_ELEMENTS = 1 << 19
+_CHUNK_ELEMENTS = 1 << 20
 # values' worth of memory an attempt holds besides its arrays: its
 # generator and the headers of its draws
 _ATTEMPT_OVERHEAD = 128
@@ -136,19 +138,22 @@ def _estimate(successes: int, trials: int, seed: int) -> RachEstimate:
     return RachEstimate(p_hat=p, ci_halfwidth=hw, trials=trials, seed=seed)
 
 
-def _disc_xy(radius: float, uniforms: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Place each attempt's (2, n) uniforms, radial row first, uniformly
-    on the disc as one row of (attempts, widest) x and y arrays.  Padding
-    sits at infinity: never nearest, and no power."""
-    counts = np.array([u.shape[1] for u in uniforms])
-    drawn = np.arange(counts.max()) < counts[:, None]
-    u = np.concatenate(uniforms, axis=1)
+def _polar(radius: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of (2, n) uniforms, radial row first, uniform on the disc."""
     r = radius * np.sqrt(u[0])
     theta = 2.0 * math.pi * u[1]
+    return r * np.cos(theta), r * np.sin(theta)
+
+
+def _disc_xy(radius: float, uniforms: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Place each attempt's (2, n) uniforms on the disc as one row of
+    (attempts, widest) x and y arrays.  Padding sits at infinity: never
+    nearest, and no power."""
+    counts = np.array([u.shape[1] for u in uniforms])
+    drawn = np.arange(counts.max()) < counts[:, None]
     x = np.full(drawn.shape, np.inf)
     y = np.full(drawn.shape, np.inf)
-    x[drawn] = r * np.cos(theta)
-    y[drawn] = r * np.sin(theta)
+    x[drawn], y[drawn] = _polar(radius, np.concatenate(uniforms, axis=1))
     return x, y
 
 
@@ -183,9 +188,10 @@ def contention_outcome(dist: np.ndarray, same_cell: np.ndarray, cfg: ChannelConf
     tagged one always; both have shape (trials, devices), rows padded to
     a common width with infinite distances, which carry no power, and
     False.  `fading` holds every device's unit-mean exponential fading per
-    repetition and symbol group, shape (trials, devices, n_t, 4),
-    so the tagged evaluation and every contender evaluation of a trial
-    see the same channel realisations.
+    repetition and symbol group, shape (trials, devices, n_t, 4), zero in
+    the padding, so the tagged evaluation and every contender evaluation
+    of a trial see the same channel realisations; it is overwritten with
+    the received powers.
 
     Interference comes from every device (FULL) or only the same-cell
     ones (INTRA_CELL_ONLY); a collision is any other same-cell device whose
@@ -194,13 +200,13 @@ def contention_outcome(dist: np.ndarray, same_cell: np.ndarray, cfg: ChannelConf
     a trial in row order, padding last, so a trial scores the same alone
     or among others.
     """
-    contrib = (cfg.p * np.maximum(dist, 1e-12) ** (-cfg.alpha))[..., None, None] * fading
-    if mode is InterferenceMode.FULL:
-        pool = contrib.sum(axis=1)
-    elif mode is InterferenceMode.INTRA_CELL_ONLY:
-        pool = np.where(same_cell[..., None, None], contrib, 0.0).sum(axis=1)
-    else:
+    if mode is not InterferenceMode.FULL and mode is not InterferenceMode.INTRA_CELL_ONLY:
         raise ConfigError("mode must be an InterferenceMode")
+    gain = cfg.p * np.maximum(dist, 1e-12) ** (-cfg.alpha)
+    contrib = np.multiply(gain[..., None, None], fading, out=fading)
+    if mode is InterferenceMode.INTRA_CELL_ONLY:
+        contrib[~same_cell] = 0.0
+    pool = contrib.sum(axis=1)
 
     # every same-cell device's own signal is in the pool under either mode
     trial, device = np.nonzero(same_cell)
@@ -265,19 +271,36 @@ class _OriginSampler:
         return _draw_field(rng, self.mean_enb, self.mean_int)
 
     def place(self, draws):
-        sx, sy = _disc_xy(self.r_enb, [d[0] for d in draws])
-        serve = np.argmin(np.hypot(sx, sy), axis=1)
+        # the serving station is the first nearest by column; a radial uniform
+        # 1e-9 above the row's smallest is 5e-10 further out, far beyond the
+        # few-ulp error of cos, sin and hypot, so only those within are placed
         rows = np.arange(len(draws))
-        # the tagged device first, at uniforms (0, 0): exactly the origin
-        tagged = np.zeros((2, 1))
-        px, py = _disc_xy(self.r_int, [np.concatenate((tagged, d[1]), axis=1) for d in draws])
-        dist = np.hypot(px - sx[rows, serve][:, None], py - sy[rows, serve][:, None])
-        # exact membership test only where same-cell is not already impossible
+        u = np.concatenate([d[0] for d in draws], axis=1)
+        counts = np.array([d[0].shape[1] for d in draws])
+        start = np.cumsum(counts) - counts
+        row = np.repeat(rows, counts)
+        near = np.flatnonzero(u[0] <= np.minimum.reduceat(u[0], start)[row] * (1.0 + 1e-9))
+        cx, cy = _polar(self.r_enb, u[:, near])
+        k = np.lexsort((np.hypot(cx, cy), row[near]))[np.searchsorted(row[near], rows)]
+        serve, ex, ey = near[k] - start, cx[k], cy[k]
+        # the tagged device first, at the origin; then the drawn devices
+        n_dev = np.array([d[1].shape[1] for d in draws])
+        x1, y1 = _polar(self.r_int, np.concatenate([d[1] for d in draws], axis=1))
+        rep = np.repeat(rows, n_dev)
+        dist = np.full((len(draws), 1 + n_dev.max()), np.inf)
+        dist[:, 0] = np.hypot(0.0 - ex, 0.0 - ey)
+        dist[:, 1:][np.arange(n_dev.max()) < n_dev[:, None]] = np.hypot(x1 - ex[rep], y1 - ey[rep])
+        # exact membership test only where same-cell is not already impossible,
+        # against every station of the trial, placed only for such trials
         same_cell = np.zeros(dist.shape, dtype=bool)
         same_cell[:, 0] = True
         t, d = np.nonzero(dist[:, 1:] <= self.cell_check)
-        d += 1
-        same_cell[t, d] = _nearest(px[t, d], py[t, d], sx[t], sy[t]) == serve[t]
+        if t.size:
+            search = np.flatnonzero(np.bincount(t, minlength=len(draws)))
+            sx, sy = _disc_xy(self.r_enb, [draws[i][0] for i in search])
+            k = np.searchsorted(search, t)
+            i = np.cumsum(n_dev)[t] - n_dev[t] + d
+            same_cell[t, d + 1] = _nearest(x1[i], y1[i], sx[k], sy[k]) == serve[t]
         return np.ones(len(draws), dtype=bool), dist, same_cell
 
 
@@ -366,11 +389,11 @@ def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = Inte
             draws.append(draw)
             stations = max(stations, draw[0].shape[1])
             devices = max(devices, draw[1].shape[1] + 1)
-            # arrays at the chunk's widest attempt: about ten of stations,
-            # eight of devices, three of fading and seven of the
+            # arrays at the chunk's widest attempt: about seven of stations,
+            # ten of devices, one of fading (scored in place) and seven of the
             # membership search's (searcher, station) pairs
-            size = _ATTEMPT_OVERHEAD + 10 * stations \
-                + (8 + 3 * SYMBOL_GROUPS_PER_REPETITION * n_t) * devices \
+            size = _ATTEMPT_OVERHEAD + 7 * stations \
+                + (10 + SYMBOL_GROUPS_PER_REPETITION * n_t) * devices \
                 + 7 * sampler.searchers(devices) * stations
             if len(draws) * size >= _CHUNK_ELEMENTS:
                 break
@@ -387,11 +410,13 @@ def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = Inte
         # fading is each attempt's last draw, one block per real device
         width = np.isfinite(dist).sum(axis=1)[inside]
         dist, same_cell = dist[inside, :width.max()], same_cell[inside, :width.max()]
-        fading = np.zeros(dist.shape + (n_t, SYMBOL_GROUPS_PER_REPETITION))
+        fading = np.empty(dist.shape + (n_t, SYMBOL_GROUPS_PER_REPETITION))
+        fading[np.isinf(dist)] = 0.0  # padding carries no power
         kept = (rng for rng, ok in zip(rngs, inside.tolist()) if ok)
         for row, (rng, k) in enumerate(zip(kept, width.tolist())):
             rng.standard_exponential(out=fading[row, :k])
         transmission, collision = contention_outcome(dist, same_cell, cfg, mode, fading)
+        del fading  # not held while the next chunk is drawn and placed
         trans += int(transmission.sum())
         coll += int(collision.sum())
         rach += int((transmission & ~collision).sum())

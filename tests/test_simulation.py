@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nbrach import simulation
 from nbrach.errors import ConfigError
@@ -180,6 +181,101 @@ def test_summary_chunk_invariant(monkeypatch, n_t, mode, settings):
         runs.append(simulate_summary(CROWD, n_t, mode, settings))
     assert runs[0] == runs[1] == runs[2]
     assert runs[0].redraws > 0 or settings.region is None
+
+
+# ------------------------------------------------- origin geometry reference
+
+
+def reference_origin_place(sampler, draws):
+    """The origin construction placing every station: the serving one by
+    argmin(hypot) over padded rows, the devices with the tagged one as
+    uniforms (0, 0), membership searched against each trial's stations.
+    `place` must give its distances and masks bit for bit."""
+    def disc_xy(radius, uniforms):
+        counts = np.array([u.shape[1] for u in uniforms])
+        drawn = np.arange(counts.max()) < counts[:, None]
+        u = np.concatenate(uniforms, axis=1)
+        r = radius * np.sqrt(u[0])
+        theta = 2.0 * np.pi * u[1]
+        x = np.full(drawn.shape, np.inf)
+        y = np.full(drawn.shape, np.inf)
+        x[drawn] = r * np.cos(theta)
+        y[drawn] = r * np.sin(theta)
+        return x, y
+
+    sx, sy = disc_xy(sampler.r_enb, [d[0] for d in draws])
+    serve = np.argmin(np.hypot(sx, sy), axis=1)
+    rows = np.arange(len(draws))
+    tagged = np.zeros((2, 1))
+    px, py = disc_xy(sampler.r_int, [np.concatenate((tagged, d[1]), axis=1) for d in draws])
+    dist = np.hypot(px - sx[rows, serve][:, None], py - sy[rows, serve][:, None])
+    same_cell = np.zeros(dist.shape, dtype=bool)
+    same_cell[:, 0] = True
+    t, d = np.nonzero(dist[:, 1:] <= sampler.cell_check)
+    d += 1
+    dx = px[t, d][:, None] - sx[t]
+    dy = py[t, d][:, None] - sy[t]
+    same_cell[t, d] = np.argmin(dx * dx + dy * dy, axis=1) == serve[t]
+    return dist, same_cell
+
+
+ORIGIN = simulation._OriginSampler(CROWD, 2, 5e-4)
+
+
+def origin_row(rng, stations, devices, rival=None, zeros=0, planted=0):
+    """One attempt's draws: a rival station at radial uniform (1 + rival)
+    times the nearest one's, `zeros` stations at the centre, and `planted`
+    devices within 1 km of the tagged device."""
+    s, d = rng.random((2, stations)), rng.random((2, devices))
+    nearest = int(np.argmin(s[0]))
+    if rival is not None and stations > 1:
+        s[0, (nearest + 1 + rng.integers(stations - 1)) % stations] = s[0, nearest] * (1.0 + rival)
+    s[0, rng.choice(stations, min(zeros, stations), replace=False)] = 0.0
+    d[0, :planted] *= ORIGIN.r_int ** -2
+    return s, d
+
+
+def assert_place_matches_reference(draws):
+    inside, dist, same_cell = ORIGIN.place(draws)
+    ref_dist, ref_same_cell = reference_origin_place(ORIGIN, draws)
+    assert inside.all()
+    assert np.array_equal(dist, ref_dist)
+    assert np.array_equal(same_cell, ref_same_cell)
+    return same_cell
+
+
+def test_origin_place_matches_reference_on_edge_rows():
+    rng = np.random.default_rng(11)
+    draws = [origin_row(rng, 327, 0),                       # no device at all
+             origin_row(rng, 327, 40),                      # none planted
+             origin_row(rng, 327, 60, planted=6),           # several near
+             origin_row(rng, 327, 30, rival=1e-12, planted=3),
+             origin_row(rng, 327, 30, rival=0.0, planted=2),
+             origin_row(rng, 327, 30, rival=1e-9, planted=2),
+             origin_row(rng, 327, 20, zeros=1, planted=2),  # serving station at the centre
+             origin_row(rng, 327, 20, zeros=2),             # two there: the first column serves
+             origin_row(rng, 1, 5, planted=5)]              # a lone station serves all
+    same_cell = assert_place_matches_reference(draws)
+    near = same_cell[:, 1:].sum(axis=1)
+    assert near[0] == 0 and near[2] >= 2 and near[-1] == 5
+
+
+@st.composite
+def origin_chunks(draw):
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        rows.append(origin_row(
+            rng, draw(st.integers(1, 400)), draw(st.integers(0, 50)),
+            rival=draw(st.sampled_from([None, 0.0, 1e-12, 1e-10, 1e-9, 2e-9])),
+            zeros=draw(st.integers(0, 2)), planted=draw(st.integers(0, 5))))
+    return rows
+
+
+@given(origin_chunks())
+@settings(max_examples=60, deadline=None)
+def test_origin_place_matches_reference(draws):
+    assert_place_matches_reference(draws)
 
 
 def test_summary_matches_analytics_at_transmission_level():

@@ -189,6 +189,26 @@ def test_fig13_intra_matches_reference_to_eight_repetitions(tmp_path):
     assert rows[:-2] == reference.splitlines()[:-2]
 
 
+# fig10's 20 simulated cells at 100 replications and seed 42, n_t = 8
+# included, which test_summary_stream_pinned does not reach; a moved byte
+# is a stream or tally change and must be declared
+FIG10_SIM_SEED42 = """\
+density_ratio,rach_nt1_sim,rach_nt1_sim_ci,rach_nt2_sim,rach_nt2_sim_ci,rach_nt4_sim,rach_nt4_sim_ci,rach_nt8_sim,rach_nt8_sim_ci
+100,0.99,0.0195017537673,1,0,0.99,0.0195017537673,1,0
+316,0.94,0.0465474209812,0.98,0.02744,0.98,0.02744,0.97,0.0334350953341
+1000,0.8,0.0784,0.86,0.0680094581658,0.89,0.0613263923609,0.88,0.0636924610923
+3162,0.6,0.0960199979171,0.69,0.090648675666,0.75,0.0848704895709,0.78,0.0811922754947
+10000,0.33,0.0921616926928,0.38,0.0951357430202,0.48,0.0979215686149,0.57,0.0970348473488
+"""
+
+
+def test_fig10_simulated_cells_pinned(tmp_path):
+    out = tmp_path / "fig10.csv"
+    emit_csv(run_preset("fig10", build_config({"replications": "100", "seed": "42"}),
+                        Engine.SIMULATION), str(out))
+    assert out.read_bytes() == FIG10_SIM_SEED42.encode()
+
+
 def test_preset_simulation_default_replications():
     # presets drop to the light replication count unless the config names
     # one explicitly
