@@ -18,18 +18,19 @@ construction whose edge bias the guard-sanity tests exercise.
 
 Each construction is only a geometry sampler, in two steps: `draw`
 makes one attempt's raw draws (Poisson counts, disc uniforms) from its
-generator, or None when no station falls in the window, and `place`
-turns a chunk of them into the tagged stations' distances and same-cell
-masks, rejecting window attempts served from outside the guard.
-simulate_summary owns the one replication loop: seeding, redraw budget,
-chunks and tallies.  All that follows the draws runs once per chunk on
-arrays padded to the chunk's widest attempt.  The origin construction
-places only the stations radially next to the nearest to find the serving
-one, and the rest only for trials with a device close enough to need the
-cell-membership search; contention_outcome, the one scorer, forms a whole
-chunk's received powers in its fading array and scores them in one pass.
-Pools add each trial's devices in row order, so a trial scores the same
-in any chunk: the chunking never changes a result or a CSV byte.
+generator, or None when it refuses the attempt (an empty window, or a
+window attempt served from outside the guard), and `place` turns a chunk
+of accepted draws into the tagged stations' distances and same-cell
+masks, one row each.  simulate_summary owns the one replication loop:
+seeding, redraw budget, chunks and tallies.  All that follows the draws
+runs once per chunk on arrays padded to the chunk's widest attempt.  The
+origin construction places only the stations radially next to the nearest
+to find the serving one, and the rest only for trials with a device close
+enough to need the cell-membership search; contention_outcome, the one
+scorer, forms a whole chunk's received powers in its fading array and
+scores them in one pass.  Pools add each trial's devices in row order, so
+a trial scores the same in any chunk: the chunking never changes a result
+or a CSV byte.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, integer, real
+from .errors import ConfigError, NumericError, integer, real
 from .rach import (
     SYMBOL_GROUPS_PER_REPETITION,
     ChannelConfig,
@@ -64,6 +65,8 @@ _CHUNK_ELEMENTS = 1 << 20
 # values' worth of memory an attempt holds besides its arrays: its
 # generator and the headers of its draws
 _ATTEMPT_OVERHEAD = 128
+# largest Poisson mean numpy's generators accept: int64 max - 10 sqrt(int64 max)
+_POISSON_MAX = 9.223372006484771e18
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,8 @@ def interference_horizon(cfg: ChannelConfig, n_t: int, tail_tol: float) -> float
     d^(2-alpha)/(alpha-2), and a success flip requires it to beat the
     realised SINR margin; weighting by the success-biased distance law
     (effective slope s in the squared-distance domain) and doubling for
-    slack gives the solved-for d.
+    slack gives the solved-for d.  Near alpha = 2 the bound diverges: a
+    horizon that is not finite is a NumericError.
     """
     l = symbol_group_count(n_t)
     real(tail_tol, "tail_tol", gt=0.0, lt=1.0)
@@ -241,7 +245,13 @@ def interference_horizon(cfg: ChannelConfig, n_t: int, tail_tol: float) -> float
     coef = (2.0 * math.pi * lam_da * l * cfg.gamma_th
             * math.gamma(cfg.alpha / 2.0 + 1.0) / s ** (cfg.alpha / 2.0)
             / (cfg.alpha - 2.0))
-    d = (2.0 * coef / tail_tol) ** (1.0 / (cfg.alpha - 2.0))
+    try:
+        d = (2.0 * coef / tail_tol) ** (1.0 / (cfg.alpha - 2.0))
+    except OverflowError:
+        d = math.inf
+    if not math.isfinite(d):
+        raise NumericError(f"interference horizon {d} km at alpha = {cfg.alpha}, "
+                           f"n_t = {n_t}: the omitted far field cannot be bounded")
     return max(d, floor)
 
 
@@ -259,7 +269,14 @@ class _OriginSampler:
         self.r_enb = r_assoc + 2.0 * self.cell_check + 1.0 / sqrt_plb
         self.r_int = interference_horizon(cfg, n_t, tail_tol)
         self.mean_enb = cfg.lambda_b * math.pi * self.r_enb ** 2
-        self.mean_int = active_density(cfg) * math.pi * self.r_int ** 2
+        try:
+            self.mean_int = active_density(cfg) * math.pi * self.r_int ** 2
+        except OverflowError:  # the horizon's square is beyond float range
+            self.mean_int = math.inf
+        if not self.mean_int <= _POISSON_MAX:
+            raise NumericError(f"interference horizon {self.r_int:g} km at alpha = {cfg.alpha}, "
+                               f"n_t = {n_t} holds {self.mean_int:g} expected interferers, "
+                               "more than one trial can draw")
         # expected devices within cell_check of the serving station
         self.mean_near = active_density(cfg) * math.pi * self.cell_check ** 2
 
@@ -301,7 +318,7 @@ class _OriginSampler:
             k = np.searchsorted(search, t)
             i = np.cumsum(n_dev)[t] - n_dev[t] + d
             same_cell[t, d + 1] = _nearest(x1[i], y1[i], sx[k], sy[k]) == serve[t]
-        return np.ones(len(draws), dtype=bool), dist, same_cell
+        return dist, same_cell
 
 
 class _WindowSampler:
@@ -330,8 +347,15 @@ class _WindowSampler:
 
     def draw(self, rng: np.random.Generator):
         field = _draw_field(rng, self.mean_enb, self.mean_int)
-        # the tagged position is the attempt's last geometry draw
-        return None if field is None else field + (rng.random((2, 1)),)
+        if field is None:
+            return None
+        # the tagged position is the attempt's last geometry draw, refused when
+        # served from outside the guard; math.hypot, as np.hypot may differ in
+        # the last bit, and the guard test must not move
+        tagged = rng.random((2, 1))
+        sx, sy = _polar(self.radius, field[0])
+        k = _nearest(*_polar(self.radius, tagged), sx, sy)[0]
+        return field + (tagged,) if math.hypot(sx[k], sy[k]) <= self.interior else None
 
     def place(self, draws):
         sx, sy = _disc_xy(self.radius, [d[0] for d in draws])
@@ -342,13 +366,8 @@ class _WindowSampler:
         assoc[t, d] = _nearest(px[t, d], py[t, d], sx[t], sy[t])
         rows = np.arange(len(draws))
         serve = assoc[:, 0]
-        ex, ey = sx[rows, serve], sy[rows, serve]
-        # math.hypot per station: np.hypot may differ in the last bit, and
-        # the guard test must not move
-        inside = np.array([math.hypot(x, y) <= self.interior
-                           for x, y in zip(ex.tolist(), ey.tolist())])
-        dist = np.hypot(px - ex[:, None], py - ey[:, None])
-        return inside, dist, assoc == serve[:, None]
+        dist = np.hypot(px - sx[rows, serve][:, None], py - sy[rows, serve][:, None])
+        return dist, assoc == serve[:, None]
 
 
 def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = InterferenceMode.FULL,
@@ -356,14 +375,15 @@ def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = Inte
     """Run the full estimator and return transmission, collision and
     random-access tallies with confidence intervals.
 
-    Attempt k draws from its own stream SeedSequence((seed, k)); an
-    attempt whose geometry is rejected counts as a redraw and is skipped.
-    The raw draws are made one attempt at a time into a chunk of
-    candidates, all that follows them once per chunk, whose arrays hold
-    about _CHUNK_ELEMENTS values.  A chunk never holds more candidates
-    than the run still needs, so every attempt drawn is one that a
-    one-attempt-at-a-time loop would draw too, and the redraw budget runs
-    out exactly where that loop's would: no result depends on where
+    Attempt k draws from its own stream SeedSequence((seed, k)).  The
+    sampler's `draw` is the one place an attempt is refused: a refused
+    attempt counts as a redraw and is skipped, and the run fails at the
+    redraw that exceeds the budget.  The raw draws are made one attempt at
+    a time into a chunk of accepted attempts, and all that follows them
+    (placing, fading, scoring) once per chunk, whose arrays hold about
+    _CHUNK_ELEMENTS values.  A chunk never holds more attempts than the
+    run still needs, so every attempt drawn is one that a
+    one-attempt-at-a-time loop would draw too: no result depends on where
     chunks end.
     """
     settings = settings or SimSettings()
@@ -378,12 +398,14 @@ def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = Inte
     while done < n:
         rngs, draws = [], []
         stations = devices = 0
-        while done + len(draws) < n and redraws <= settings.redraw_budget:
+        while done + len(draws) < n:
             rng = np.random.default_rng(np.random.SeedSequence((settings.seed, attempt)))
             attempt += 1
             draw = sampler.draw(rng)
             if draw is None:
                 redraws += 1
+                if redraws > settings.redraw_budget:
+                    raise ConfigError(f"redraw budget exhausted: {sampler.exhausted}")
                 continue
             rngs.append(rng)
             draws.append(draw)
@@ -398,29 +420,18 @@ def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = Inte
             if len(draws) * size >= _CHUNK_ELEMENTS:
                 break
 
-        # the loop above ends without candidates only on a spent budget
-        if draws:
-            inside, dist, same_cell = sampler.place(draws)
-            redraws += len(draws) - int(inside.sum())
-        if redraws > settings.redraw_budget:
-            raise ConfigError(f"redraw budget exhausted: {sampler.exhausted}")
-        if not inside.any():
-            continue
-
+        dist, same_cell = sampler.place(draws)
         # fading is each attempt's last draw, one block per real device
-        width = np.isfinite(dist).sum(axis=1)[inside]
-        dist, same_cell = dist[inside, :width.max()], same_cell[inside, :width.max()]
         fading = np.empty(dist.shape + (n_t, SYMBOL_GROUPS_PER_REPETITION))
         fading[np.isinf(dist)] = 0.0  # padding carries no power
-        kept = (rng for rng, ok in zip(rngs, inside.tolist()) if ok)
-        for row, (rng, k) in enumerate(zip(kept, width.tolist())):
+        for row, (rng, k) in enumerate(zip(rngs, np.isfinite(dist).sum(axis=1).tolist())):
             rng.standard_exponential(out=fading[row, :k])
         transmission, collision = contention_outcome(dist, same_cell, cfg, mode, fading)
         del fading  # not held while the next chunk is drawn and placed
         trans += int(transmission.sum())
         coll += int(collision.sum())
         rach += int((transmission & ~collision).sum())
-        done += len(width)
+        done += len(draws)
 
     return SimulationSummary(
         transmission=_estimate(trans, n, settings.seed),

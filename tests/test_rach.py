@@ -197,6 +197,36 @@ def test_joint_success_zero_noise_closed_form():
         assert joint_symbol_success(l, cfg) == pytest.approx(want, rel=1e-14)
 
 
+def joint_success_erfcx_oracle(l: int, cfg: ChannelConfig) -> float:
+    # alpha = 4: over t = r0^2 the integrand is s exp(-a t - b t^2), whose
+    # integral is s sqrt(pi) / (2 sqrt(b)) erfcx(a / (2 sqrt(b))), with
+    # erfcx(w) = erfc(w) exp(w^2) taken in 40 digits
+    kernel = kernel_oracle(4.0, l)
+    with mp.workdps(40):
+        lam_da = mp.mpf(cfg.a_a) * cfg.eta0 * cfg.lambda_d / cfg.l_preambles
+        s = (mp.mpf(1.25) if lam_da > cfg.lambda_b else 1) * mp.pi * cfg.lambda_b
+        a = s + 2 * mp.pi * lam_da * mp.sqrt(cfg.gamma_th) * kernel
+        b = mp.mpf(l) * cfg.gamma_th * cfg.sigma2 / cfg.p
+        w = a / (2 * mp.sqrt(b))
+        return float(s * mp.sqrt(mp.pi) / (2 * mp.sqrt(b)) * mp.erfc(w) * mp.exp(w * w))
+
+
+@pytest.mark.parametrize("sigma2", [rach.DEFAULT_NOISE_W, 1e-9], ids=["preset-noise", "noise-bound"])
+def test_joint_success_against_erfcx_closed_form(sigma2):
+    # the noisy FULL value every preset prints (there a / (2 sqrt(b)) >= 1e4),
+    # and at 1e-9 W, where it falls to ~1 and noise shapes the integral;
+    # the worst error measured is 1.6e-13
+    worst = 0.0
+    for ratio in (100.0, 316.0, 1000.0, 3162.0, 10000.0):
+        for gamma_db in (0.0, 10.0, 20.0, 30.0, 40.0):
+            for l in (4, 8, 32, 128):
+                cfg = ChannelConfig(lambda_b=0.1, lambda_d=ratio * 0.1, sigma2=sigma2,
+                                    gamma_th=10.0 ** (gamma_db / 10.0))
+                want = joint_success_erfcx_oracle(l, cfg)
+                worst = max(worst, abs(joint_symbol_success(l, cfg) - want) / want)
+    assert worst <= 2e-12
+
+
 def test_joint_success_decreasing_in_groups():
     vals = [joint_symbol_success(l, DESK) for l in (4, 8, 16, 32)]
     assert all(b < a for a, b in zip(vals, vals[1:]))

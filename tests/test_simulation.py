@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo contention estimator: point processes,
 per-trial contention logic and agreement with the analytics."""
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nbrach import simulation
-from nbrach.errors import ConfigError
+from nbrach.errors import ConfigError, NumericError
 from nbrach.rach import ChannelConfig, InterferenceMode, joint_symbol_success
 from nbrach.simulation import (
     Region,
@@ -236,9 +237,8 @@ def origin_row(rng, stations, devices, rival=None, zeros=0, planted=0):
 
 
 def assert_place_matches_reference(draws):
-    inside, dist, same_cell = ORIGIN.place(draws)
+    dist, same_cell = ORIGIN.place(draws)
     ref_dist, ref_same_cell = reference_origin_place(ORIGIN, draws)
-    assert inside.all()
     assert np.array_equal(dist, ref_dist)
     assert np.array_equal(same_cell, ref_same_cell)
     return same_cell
@@ -335,6 +335,25 @@ def test_horizon_behaviour():
             interference_horizon(DESK, 1, tail_tol)
 
 
+def test_horizon_near_alpha_two_is_numeric_error():
+    # (2 coef / tail_tol) ** (1 / (alpha - 2)) overflows a float there
+    with pytest.raises(NumericError, match=r"alpha = 2\.005, n_t = 1"):
+        interference_horizon(ChannelConfig(alpha=2.005), 1, 5e-4)
+
+
+@pytest.mark.parametrize("alpha", [2.005, 2.05])
+def test_summary_near_alpha_two_refused_before_any_draw(monkeypatch, alpha):
+    # at 2.05 the horizon is finite but holds ~1e142 expected interferers,
+    # beyond numpy's Poisson range
+    def no_draw(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(simulation, "_draw_field", no_draw)
+    with pytest.raises(NumericError, match=f"alpha = {alpha}, n_t = 1"):
+        simulate_summary(ChannelConfig(alpha=alpha), 1,
+                         settings=SimSettings(replications=5, seed=1))
+
+
 # ------------------------------------------------------- finite-window mode
 
 
@@ -357,6 +376,37 @@ def test_guard_bias_invariant():
     u_large = run(10.0, 1500, 1e-9)
     gap = abs(g_large.p_hat - u_large.p_hat)
     assert gap <= g_large.ci_halfwidth + u_large.ci_halfwidth
+
+
+@pytest.mark.parametrize("cfg, region", [
+    (CROWD, Region(4.0)),
+    (DESK, Region(1.4)),  # interior radius 0.27 km: most attempts refused
+], ids=["crowd", "mostly-refused"])
+def test_window_draw_refuses_as_the_batched_guard(cfg, region):
+    # `draw` refuses an attempt exactly when the rule once applied to a whole
+    # chunk refuses it: nearest station over the chunk's padded rows, then
+    # math.hypot of the serving station against the interior radius
+    sampler = simulation._WindowSampler(cfg, SimSettings(region=region))
+    attempts = range(300)
+    refused = [sampler.draw(np.random.default_rng(np.random.SeedSequence((7, k)))) is None
+               for k in attempts]
+
+    raw = {}
+    for k in attempts:
+        rng = np.random.default_rng(np.random.SeedSequence((7, k)))
+        field = simulation._draw_field(rng, sampler.mean_enb, sampler.mean_int)
+        if field is not None:
+            raw[k] = field + (rng.random((2, 1)),)
+    chunk = list(raw.values())
+    sx, sy = simulation._disc_xy(region.radius, [d[0] for d in chunk])
+    px, py = simulation._disc_xy(region.radius,
+                                 [np.concatenate((d[2], d[1]), axis=1) for d in chunk])
+    serve = simulation._nearest(px[:, 0], py[:, 0], sx, sy)
+    rows = np.arange(len(chunk))
+    outside = {k: math.hypot(x, y) > sampler.interior for k, x, y in
+               zip(raw, sx[rows, serve].tolist(), sy[rows, serve].tolist())}
+    assert refused == [outside.get(k, True) for k in attempts]
+    assert 0 < sum(refused) < len(refused)
 
 
 def test_guard_depth_validation():

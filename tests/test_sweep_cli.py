@@ -323,6 +323,20 @@ def test_cli_numeric_error_exit(tmp_path, capsys):
     assert captured.out == open(out, encoding="utf-8").read()
 
 
+@pytest.mark.parametrize("alpha", ["2.005", "2.05"])
+def test_cli_sim_near_alpha_two_numeric_error_exit(tmp_path, capsys, alpha):
+    # the simulator refuses a far field it cannot bound or draw
+    cfg = write_cfg(tmp_path, f"alpha = {alpha}\nreplications = 5\n"
+                    "sweep_key = n_t\nsweep_values = 1\ntarget = rach\n")
+    out = str(tmp_path / "part.csv")
+    code = main(["sweep", "--config", cfg, "--preset", "custom", "--engine", "sim",
+                 "--out", out])
+    assert code == EXIT_NUMERIC
+    assert f"alpha = {alpha}" in capsys.readouterr().err
+    value, *cells = parse_csv(out).rows[0]
+    assert value == 1.0 and cells and set(cells) == {"error"}
+
+
 def test_cli_io_error_exit(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "sweep_key = n_t\nsweep_values = 1\ntarget = rach\n")
     code = main(["sweep", "--config", cfg, "--preset", "custom",
