@@ -49,7 +49,6 @@ from .rach import (
 )
 from .simulation import (
     RachEstimate,
-    Region,
     SimSettings,
     SimulationSummary,
     interference_horizon,
@@ -85,7 +84,6 @@ __all__ = [
     "QuadratureSettings",
     "RachEstimate",
     "RachSuccessDetail",
-    "Region",
     "SimSettings",
     "SimulationSummary",
     "SweepTable",

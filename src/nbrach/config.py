@@ -20,7 +20,7 @@ from .energy import BoundMode, EnergyConfig, availability_bounds
 from .errors import ConfigError
 from .quadrature import QuadratureSettings
 from .rach import ChannelConfig, InterferenceMode, noise_power_watt
-from .simulation import Region, SimSettings
+from .simulation import SimSettings
 
 # Battery headroom above the cutoff at which both availability bounds
 # have reached their large-capacity plateaus.
@@ -45,8 +45,6 @@ _UNITS: dict[str, dict[str, object]] = {
     "energy": {"J": 1.0, "mJ": 1e-3, "uJ": 1e-6},
     "time": {"s": 1.0, "ms": 1e-3},
     "intensity": {"/km2": 1.0},
-    "area": {"km2": 1.0},
-    "length": {"km": 1.0},
     "frequency": {"Hz": 1.0, "kHz": 1e3},
 }
 
@@ -82,10 +80,7 @@ KEYS: dict[str, tuple[object, str | None, str]] = {
     "mode": ({m.value: m for m in InterferenceMode}, "app", "mode"),
     "replications": ("int", "sim", "replications"),     # Monte-Carlo replications
     "seed": ("int", "sim", "seed"),                     # Monte-Carlo seed
-    "region_area": ("area", "sim", "region"),           # explicit sampling region
-    "guard": ("length", "sim", "guard"),                # interior-cell guard depth
     "tail_tol": ("plain", "sim", "tail_tol"),           # far-field truncation budget
-    "redraw_budget": ("int", "sim", "redraw_budget"),   # rejected-replication budget
     "rel_tol": ("plain", "quadrature", "rel_tol"),
     "abs_tol": ("plain", "quadrature", "abs_tol"),
     "max_subdivisions": ("int", "quadrature", "max_subdivisions"),
@@ -207,7 +202,7 @@ def build_config(raw: dict[str, str]) -> AppConfig:
     for key, text in raw.items():
         kind, layer, name = _spec(key)
         kw[layer][name] = _convert(key, text, kind)
-    energy_kw, channel_kw, sim_kw, inputs = kw["energy"], kw["channel"], kw["sim"], kw[None]
+    energy_kw, channel_kw, inputs = kw["energy"], kw["channel"], kw[None]
 
     p = energy_kw.get("p", EnergyConfig.p)
     energy_kw.setdefault("e0_ra", p * inputs.get("t_r", PREAMBLE_DURATION_S))
@@ -221,12 +216,10 @@ def build_config(raw: dict[str, str]) -> AppConfig:
         channel_kw["eta0"] = availability_bounds(energy)[0].eta0
     if "bw" in inputs and "sigma2" not in channel_kw:
         channel_kw["sigma2"] = noise_power_watt(inputs["bw"])
-    if "region" in sim_kw:
-        sim_kw["region"] = Region.from_area(sim_kw["region"])
 
     return AppConfig(energy=energy, channel=ChannelConfig(**channel_kw),
                      quadrature=QuadratureSettings(**kw["quadrature"]),
-                     sim=SimSettings(**sim_kw), raw=dict(raw), **kw["app"])
+                     sim=SimSettings(**kw["sim"]), raw=dict(raw), **kw["app"])
 
 
 def with_value(cfg: AppConfig, key: str, value: float) -> AppConfig:
@@ -260,8 +253,6 @@ def _render(kind: object, value: object) -> str:
         return "on" if value else "off"
     if kind == "list":
         return ", ".join(format(v, ".12g") for v in value)
-    if isinstance(value, Region):
-        value = value.area
     base = [u for u, scale in _UNITS[kind].items() if scale == 1.0]
     return " ".join([format(value, ".12g")] + base[:1])
 

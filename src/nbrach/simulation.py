@@ -1,36 +1,32 @@
 """Monte-Carlo contention simulator used as an independent cross-check.
 
-Base stations and contending devices are Poisson fields on a disc; the
+Base stations and contending devices are Poisson fields on discs; the
 tagged device transmits a preamble of 4 symbol groups, repeated n_t
 times, with fresh unit-mean exponential fading per link and symbol
 group.  Success and collision are decided from the exact SINR sums at
 the serving station, never from the closed-form machinery this module
 is meant to validate.
 
-Two sampling constructions are provided.  The default centres the
-tagged device at the origin of windows sized from an explicit far-field
-tail bound, which is the typical-point law of the infinite plane
-(conditioning a Poisson process on a point leaves the rest unchanged)
-and keeps the truncation bias a measured fraction of the confidence
-interval.  Passing an explicit Region instead samples the tagged
-position uniformly over a finite disc with an interior-cell guard, the
-construction whose edge bias the guard-sanity tests exercise.
+The tagged device sits at the origin of windows sized from an explicit
+far-field tail bound: the typical-point law of the infinite plane
+(conditioning a Poisson process on a point leaves the rest unchanged),
+with the truncation bias kept a measured fraction of the confidence
+interval.
 
-Each construction is only a geometry sampler, in two steps: `draw`
-makes one attempt's raw draws (Poisson counts, disc uniforms) from its
-generator, or None when it refuses the attempt (an empty window, or a
-window attempt served from outside the guard), and `place` turns a chunk
-of accepted draws into the tagged stations' distances and same-cell
-masks, one row each.  simulate_summary owns the one replication loop:
-seeding, redraw budget, chunks and tallies.  All that follows the draws
-runs once per chunk on arrays padded to the chunk's widest attempt.  The
-origin construction places only the stations radially next to the nearest
-to find the serving one, and the rest only for trials with a device close
-enough to need the cell-membership search; contention_outcome, the one
-scorer, forms a whole chunk's received powers in its fading array and
-scores them in one pass.  Pools add each trial's devices in row order, so
-a trial scores the same in any chunk: the chunking never changes a result
-or a CSV byte.
+The geometry sampler works in two steps: `draw` makes one attempt's raw
+draws (Poisson counts, disc uniforms) from its generator, or None when
+it refuses the attempt for an empty station window, and `place` turns a
+chunk of accepted draws into the tagged stations' distances and
+same-cell masks, one row each.  simulate_summary owns the one
+replication loop: seeding, chunks and tallies.  All that follows the
+draws runs once per chunk on arrays padded to the chunk's widest
+attempt.  `place` finds the serving station among the stations radially
+next to the nearest, and places the rest only for trials with a device
+close enough to need the cell-membership search; contention_outcome,
+the one scorer, forms a whole chunk's received powers in its fading
+array and scores them in one pass.  Pools add each trial's devices in
+row order, so a trial scores the same in any chunk: the chunking never
+changes a result or a CSV byte.
 """
 
 from __future__ import annotations
@@ -51,7 +47,7 @@ from .rach import (
     symbol_group_count,
 )
 
-# exp(-50) miss probability for nearest-station searches inside finite windows
+# exp(-50) miss probability for the nearest-station search inside the window
 _WINDOW_LOG_MISS = 50.0
 # cell-membership checks are exact within this many mean cell radii of the
 # serving station; beyond, same-cell probability is at most exp(-25)
@@ -70,49 +66,24 @@ _POISSON_MAX = 9.223372006484771e18
 
 
 @dataclass(frozen=True)
-class Region:
-    """Disc sampling window centred at the origin (km)."""
-
-    radius: float
-
-    def __post_init__(self):
-        real(self.radius, "radius", gt=0.0)
-
-    @classmethod
-    def from_area(cls, area_km2: float) -> "Region":
-        real(area_km2, "area_km2", gt=0.0)
-        return cls(radius=math.sqrt(area_km2 / math.pi))
-
-    @property
-    def area(self) -> float:
-        return math.pi * self.radius * self.radius
-
-
-@dataclass(frozen=True)
 class SimSettings:
-    """Estimator controls.
-
-    region=None selects the origin-tagged construction with windows sized
+    """Estimator controls.  The station and interferer windows are sized
     so the expected effect of truncated far-field interference stays below
-    tail_tol; an explicit Region selects the finite-window construction
-    with an interior-cell guard of depth `guard` (default 2/sqrt(pi
-    lambda_b), two mean cell radii of edge correction).
-    """
+    tail_tol."""
 
     replications: int = 10_000
     seed: int = 0
-    region: Region | None = None
-    guard: float | None = None
     tail_tol: float = 5e-4
-    redraw_budget: int = 1000
+
+    # not a field, so no caller can set it: always None, the window the
+    # benchmark's tracer (perfbench/tracer.py:150) sizes its interferer
+    # count from; ROADMAP item 8 deletes it with that branch of the tracer
+    region = None
 
     def __post_init__(self):
         integer(self.replications, "replications", ge=1)
         integer(self.seed, "seed", ge=0)
-        if self.guard is not None:
-            real(self.guard, "guard", ge=0.0)
         real(self.tail_tol, "tail_tol", gt=0.0, lt=1.0)
-        integer(self.redraw_budget, "redraw_budget", ge=1)
 
 
 @dataclass(frozen=True)
@@ -127,7 +98,11 @@ class RachEstimate:
 
 @dataclass(frozen=True)
 class SimulationSummary:
-    """Per-trial tallies of the three outcome fields over one run."""
+    """Per-trial tallies of the three outcome fields over one run.
+
+    redraws counts the attempts refused for an empty station window and
+    skipped; the window holds about 326.6 stations on average, so each
+    attempt is refused with probability e^-326.6."""
 
     transmission: RachEstimate
     rach: RachEstimate
@@ -260,8 +235,6 @@ class _OriginSampler:
     out to where the nearest-station and cell-membership searches are
     exact to exp(-25), interferers out to the interference horizon."""
 
-    exhausted = "station field too sparse to sample"
-
     def __init__(self, cfg: ChannelConfig, n_t: int, tail_tol: float):
         sqrt_plb = math.sqrt(math.pi * cfg.lambda_b)
         r_assoc = math.sqrt(_WINDOW_LOG_MISS) / sqrt_plb
@@ -279,10 +252,6 @@ class _OriginSampler:
                                "more than one trial can draw")
         # expected devices within cell_check of the serving station
         self.mean_near = active_density(cfg) * math.pi * self.cell_check ** 2
-
-    def searchers(self, devices: int) -> float:
-        """Devices per attempt that search every station for their own."""
-        return min(devices, self.mean_near)
 
     def draw(self, rng: np.random.Generator):
         return _draw_field(rng, self.mean_enb, self.mean_int)
@@ -321,77 +290,25 @@ class _OriginSampler:
         return dist, same_cell
 
 
-class _WindowSampler:
-    """Finite-window construction: tagged position uniform over the disc,
-    accepted only when its serving station sits at least `guard` inside
-    the boundary; station and interferer fields cover the disc only, so
-    the estimate carries the documented edge bias."""
-
-    exhausted = "no interior tagged cell found"
-
-    def __init__(self, cfg: ChannelConfig, settings: SimSettings):
-        region = settings.region
-        guard = settings.guard
-        if guard is None:
-            guard = 2.0 / math.sqrt(math.pi * cfg.lambda_b)
-        if guard >= region.radius:
-            raise ConfigError("guard depth leaves no interior: enlarge the region")
-        self.radius = region.radius
-        self.interior = region.radius - guard
-        self.mean_enb = cfg.lambda_b * region.area
-        self.mean_int = active_density(cfg) * region.area
-
-    def searchers(self, devices: int) -> float:
-        """Devices per attempt that search every station for their own."""
-        return devices
-
-    def draw(self, rng: np.random.Generator):
-        field = _draw_field(rng, self.mean_enb, self.mean_int)
-        if field is None:
-            return None
-        # the tagged position is the attempt's last geometry draw, refused when
-        # served from outside the guard; math.hypot, as np.hypot may differ in
-        # the last bit, and the guard test must not move
-        tagged = rng.random((2, 1))
-        sx, sy = _polar(self.radius, field[0])
-        k = _nearest(*_polar(self.radius, tagged), sx, sy)[0]
-        return field + (tagged,) if math.hypot(sx[k], sy[k]) <= self.interior else None
-
-    def place(self, draws):
-        sx, sy = _disc_xy(self.radius, [d[0] for d in draws])
-        # the tagged device first, as the scorer expects
-        px, py = _disc_xy(self.radius, [np.concatenate((d[2], d[1]), axis=1) for d in draws])
-        t, d = np.nonzero(np.isfinite(px))
-        assoc = np.full(px.shape, -1)
-        assoc[t, d] = _nearest(px[t, d], py[t, d], sx[t], sy[t])
-        rows = np.arange(len(draws))
-        serve = assoc[:, 0]
-        dist = np.hypot(px - sx[rows, serve][:, None], py - sy[rows, serve][:, None])
-        return dist, assoc == serve[:, None]
-
-
 def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = InterferenceMode.FULL,
                      settings: SimSettings | None = None) -> SimulationSummary:
     """Run the full estimator and return transmission, collision and
     random-access tallies with confidence intervals.
 
     Attempt k draws from its own stream SeedSequence((seed, k)).  The
-    sampler's `draw` is the one place an attempt is refused: a refused
-    attempt counts as a redraw and is skipped, and the run fails at the
-    redraw that exceeds the budget.  The raw draws are made one attempt at
-    a time into a chunk of accepted attempts, and all that follows them
-    (placing, fading, scoring) once per chunk, whose arrays hold about
-    _CHUNK_ELEMENTS values.  A chunk never holds more attempts than the
-    run still needs, so every attempt drawn is one that a
+    sampler's `draw` is the one place an attempt is refused, for an empty
+    station window: a refused attempt counts as a redraw and is skipped,
+    and the next attempt takes its place.  The raw draws are made one
+    attempt at a time into a chunk of accepted attempts, and all that
+    follows them (placing, fading, scoring) once per chunk, whose arrays
+    hold about _CHUNK_ELEMENTS values.  A chunk never holds more attempts
+    than the run still needs, so every attempt drawn is one that a
     one-attempt-at-a-time loop would draw too: no result depends on where
     chunks end.
     """
     settings = settings or SimSettings()
     symbol_group_count(n_t)
-    if settings.region is None:
-        sampler = _OriginSampler(cfg, n_t, settings.tail_tol)
-    else:
-        sampler = _WindowSampler(cfg, settings)
+    sampler = _OriginSampler(cfg, n_t, settings.tail_tol)
 
     n = settings.replications
     done = trans = coll = rach = redraws = attempt = 0
@@ -404,8 +321,6 @@ def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = Inte
             draw = sampler.draw(rng)
             if draw is None:
                 redraws += 1
-                if redraws > settings.redraw_budget:
-                    raise ConfigError(f"redraw budget exhausted: {sampler.exhausted}")
                 continue
             rngs.append(rng)
             draws.append(draw)
@@ -416,7 +331,7 @@ def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = Inte
             # membership search's (searcher, station) pairs
             size = _ATTEMPT_OVERHEAD + 7 * stations \
                 + (10 + SYMBOL_GROUPS_PER_REPETITION * n_t) * devices \
-                + 7 * sampler.searchers(devices) * stations
+                + 7 * min(devices, sampler.mean_near) * stations
             if len(draws) * size >= _CHUNK_ELEMENTS:
                 break
 

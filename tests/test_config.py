@@ -33,7 +33,7 @@ from nbrach.rach import (
     preamble_success_prob,
     symbol_group_count,
 )
-from nbrach.simulation import Region, SimSettings, simulate_summary
+from nbrach.simulation import SimSettings, simulate_summary
 
 
 def cfg_from(text: str):
@@ -123,7 +123,7 @@ def test_unparseable_quantity():
     "sigma2 = -inf dBm",
     "lambda_d = nan",
     "lambda_d = inf /km2",
-    "guard = nan km",
+    "tail_tol = nan",
     "mu0 = 1e400",
     "gamma_th = 4000 dB",
     "sweep_values = 1, inf",
@@ -195,15 +195,22 @@ def test_sweep_fields():
 
 
 def test_sim_fields():
-    c = cfg_from("replications = 500\nseed = 9\nregion_area = 400 km2\nguard = 0.5 km")
-    assert c.sim.replications == 500
-    assert c.sim.seed == 9
-    assert c.sim.region.area == pytest.approx(400.0)
-    assert c.sim.guard == 0.5
+    c = cfg_from("replications = 500\nseed = 9\ntail_tol = 1e-4")
+    assert c.sim == SimSettings(replications=500, seed=9, tail_tol=1e-4)
+
+
+@pytest.mark.parametrize("line", ["region_area = 400 km2", "guard = 0.5 km", "redraw_budget = 5"])
+def test_finite_window_keys_are_unknown(line):
+    # keys of no setting: a file naming one is refused, not silently ignored
+    key = line.split(" =")[0]
+    with pytest.raises(ConfigError, match=f"line 2: unknown configuration key '{key}'"):
+        cfg_from(f"seed = 1\n{line}")
+    with pytest.raises(ConfigError, match=f"unknown configuration key '{key}'"):
+        build_config({key: line.split("= ")[1]})
 
 
 @pytest.mark.parametrize("layer, name", [
-    (SimSettings, "replications"), (SimSettings, "seed"), (SimSettings, "redraw_budget"),
+    (SimSettings, "replications"), (SimSettings, "seed"),
     (EnergyConfig, "m0"), (EnergyConfig, "n_t"), (QuadratureSettings, "max_subdivisions"),
     (ChannelConfig, "l_preambles"),
 ])
@@ -217,17 +224,15 @@ def test_integer_fields_reject_floats(layer, name):
 
 
 @pytest.mark.parametrize("layer, name", [
-    (layer, f.name) for layer in (ChannelConfig, EnergyConfig, SimSettings,
-                                  QuadratureSettings, Region)
+    (layer, f.name) for layer in (ChannelConfig, EnergyConfig, SimSettings, QuadratureSettings)
     for f in dataclasses.fields(layer) if "float" in f.type
 ])
 def test_float_fields_reject_nan(layer, name):
     # a sign check written `x < 0.0` lets NaN through, and one without an
     # upper bound lets +inf through to NaN results or a ZeroDivisionError
-    kw = {"radius": 1.0} if layer is Region else {}
     for value in (math.nan, math.inf):
         with pytest.raises(ConfigError, match=name):
-            layer(**{**kw, name: value})
+            layer(**{name: value})
 
 
 @pytest.mark.parametrize("count", [
@@ -316,9 +321,9 @@ def test_describe_is_canonical():
     "",
     "standard_repetitions = off\nn_t = 3",
     "bound = success",
-    "region_area = 400 km2\nlambda_b = 1",
+    "tail_tol = 1e-4\nlambda_b = 1",
     "epsilon = 1.1\nbw = 4 kHz",
-    "guard = 0.5 km\nmode = intra\nsweep_values = 1, 2\ntarget = rach",
+    "seed = 3\nmode = intra\nsweep_values = 1, 2\ntarget = rach",
 ])
 def test_describe_is_a_fixed_point(text):
     # every resolved key is rendered, so the rendering reads back to itself

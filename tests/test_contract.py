@@ -35,7 +35,7 @@ from nbrach.rach import (
     select_epsilon,
     symbol_group_count,
 )
-from nbrach.simulation import Region, SimSettings, interference_horizon, simulate_summary
+from nbrach.simulation import SimSettings, interference_horizon, simulate_summary
 
 _NUMERIC = re.compile(r"(float|int)( \| None)?")
 
@@ -72,8 +72,6 @@ CONTRACT = {
     "rach.rach_success_detail": (rach_success_detail, _RACH),
     "rach.rach_success_prob": (rach_success_prob, _RACH),
     "rach.repetition_efficiency": (repetition_efficiency, _RACH),
-    "simulation.Region": (Region, {"radius": 1.0}),
-    "simulation.Region.from_area": (Region.from_area, {"area_km2": 1.0}),
     "simulation.SimSettings": (SimSettings, {}),
     "simulation.interference_horizon": (interference_horizon, {**_RACH, "tail_tol": 1e-3}),
     "simulation.simulate_summary": (

@@ -1,12 +1,15 @@
 """Module boundaries: no module imports another module's private names, every
 public name has a caller, every public numeric input is in the contract
 test's table, every function the benchmark traces is bound where it looks,
-and launches that need no scipy load none."""
+every result field its tracer reads is there, and launches that need no
+scipy load none."""
 
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +143,47 @@ def test_benchmark_traced_functions_resolve():
         module, attr = binding.rsplit(".", 1)
         original = getattr(importlib.import_module(home[attr]), attr)
         assert getattr(importlib.import_module(module), attr) is original, binding
+
+
+def test_benchmark_tracer_reads_what_the_program_returns():
+    # the tracer reads result fields (redraws, terms, transitions, cycles,
+    # runtimes) and settings fields (region, tail_tol) by name, so a field
+    # renamed or removed fails here rather than only in a traced benchmark run
+    from nbrach.config import build_config
+    from nbrach.energy import EnergyConfig, simulate_energy_chain
+    from nbrach.rach import ChannelConfig, active_density, rach_success_detail
+    from nbrach.simulation import SimSettings, interference_horizon, simulate_summary
+    from nbrach.sweep import Engine, run_custom
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", BENCH / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)  # loaded only: install() is never called
+    tracer = tracer_module.Tracer()
+    channel = ChannelConfig(lambda_b=1.0, lambda_d=1000.0)
+    sweep = build_config({"sweep_key": "n_t", "sweep_values": "1, 2", "target": "rach"})
+    calls = [
+        ("simulation", simulate_summary, (channel, 1), {"settings": SimSettings(replications=20)}),
+        ("rach.rach_success_detail", rach_success_detail, (1, channel), {}),
+        ("energy.des", simulate_energy_chain, (EnergyConfig(),), {"num_transitions": 1000}),
+        ("sweep.run", run_custom, (sweep, Engine.ANALYTIC), {}),
+    ]
+    results = {}
+    for name, func, args, kwargs in calls:
+        results[name] = result = func(*args, **kwargs)
+        tracer._note(func, name, args, kwargs, result)
+    agg = tracer.aggregate()
+
+    chain = results["energy.des"]
+    assert agg["counters"] == {
+        "simulation.trials": 20, "simulation.redraws": 0,
+        "rach.cell_load.terms": results["rach.rach_success_detail"].terms,
+        "energy.des.transitions": chain.transitions, "energy.des.cycles": chain.cycles}
+    assert agg["row_runtimes"] == list(results["sweep.run"].runtimes)
+    assert len(agg["row_runtimes"]) == 2
+    assert agg["interferers_expected"] == pytest.approx(
+        [active_density(channel) * math.pi * interference_horizon(channel, 1, 5e-4) ** 2])
+    metrics = tracer_module.layer_metrics([agg], 1, 0, 1.0, 1.0, 0.0)
+    assert (metrics["simulation.redraws"], metrics["simulation.accept_ratio"]) == (0, 1.0)
 
 
 def test_closed_form_presets_load_no_scipy(tmp_path):

@@ -296,6 +296,14 @@ def test_cli_config_error_exit(tmp_path, capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("line", ["region_area = 400 km2", "guard = 0.5 km", "redraw_budget = 5"])
+def test_cli_validate_refuses_finite_window_keys(tmp_path, capsys, line):
+    # keys of no setting exit as any other unknown key does
+    cfg = write_cfg(tmp_path, f"lambda_b = 1\n{line}\n")
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG == 2
+    assert f"unknown configuration key '{line.split(' =')[0]}'" in capsys.readouterr().err
+
+
 def test_cli_non_finite_sweep_value_exit(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "sweep_key = n_t\nsweep_values = 1, inf\ntarget = rach\n")
     assert main(["sweep", "--config", cfg, "--preset", "custom"]) == EXIT_CONFIG
