@@ -19,7 +19,6 @@ from .errors import ConfigError, NumericError, QuadratureError
 from .quadrature import QuadratureSettings, improper_integral
 from .energy import (
     AvailabilityResult,
-    BoundMode,
     ChainEstimate,
     EnergyConfig,
     availability_bounds,
@@ -71,7 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AppConfig",
     "AvailabilityResult",
-    "BoundMode",
     "ChainEstimate",
     "ChannelConfig",
     "ConfigError",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .energy import BoundMode, EnergyConfig, availability_bounds
+from .energy import EnergyConfig, availability_bounds
 from .errors import ConfigError
 from .quadrature import QuadratureSettings
 from .rach import ChannelConfig, InterferenceMode, noise_power_watt
@@ -53,9 +53,9 @@ _SUFFIXES = sorted(dict.fromkeys(u for units in _UNITS.values() for u in units),
                    key=len, reverse=True)
 
 # key -> (kind, layer, field).  Kinds: the quantity kinds of _UNITS, "int",
-# "bool", "list" (comma-separated numbers), "str", or a dict of the allowed
-# tokens.  Layers: an AppConfig layer attribute, "app" for AppConfig's own
-# fields, or None for a config-only input that feeds a derived default.
+# "list" (comma-separated numbers), "str", or a dict of the allowed tokens.
+# Layers: an AppConfig layer attribute, "app" for AppConfig's own fields, or
+# None for a config-only input that feeds a derived default.
 KEYS: dict[str, tuple[object, str | None, str]] = {
     "mu0": ("plain", "energy", "mu0"),                  # harvest rate, units/s
     "a_a": ("plain", "energy", "a_a"),                  # non-empty buffer probability
@@ -65,9 +65,7 @@ KEYS: dict[str, tuple[object, str | None, str]] = {
     "e0_ra": ("energy", "energy", "e0_ra"),             # energy per preamble repetition
     "e0_da": ("energy", "energy", "e0_da"),             # energy per data repetition
     "m0": ("int", "energy", "m0"),                      # battery capacity, energy units
-    "n_t": ("int", "energy", "n_t"),                    # repetition value / ON cutoff
-    "bound": ({m.value: m for m in BoundMode}, "energy", "bound_mode"),
-    "standard_repetitions": ("bool", "energy", "enforce_standard_repetitions"),
+    "n_t": ("int", "energy", "n_t"),                    # NPRACH repetition value / ON cutoff
     "alpha": ("plain", "channel", "alpha"),             # path-loss exponent
     "gamma_th": ("threshold", "channel", "gamma_th"),   # SINR threshold, dB or linear
     "sigma2": ("noise", "channel", "sigma2"),           # noise power, W or dBm
@@ -75,7 +73,6 @@ KEYS: dict[str, tuple[object, str | None, str]] = {
     "lambda_b": ("intensity", "channel", "lambda_b"),   # station intensity
     "lambda_d": ("intensity", "channel", "lambda_d"),   # device intensity
     "l_preambles": ("int", "channel", "l_preambles"),   # contention preambles
-    "epsilon": ("plain", "channel", "epsilon_override"),  # distance-law correction
     "eta0": ("plain", "channel", "eta0"),               # energy availability override
     "mode": ({m.value: m for m in InterferenceMode}, "app", "mode"),
     "replications": ("int", "sim", "replications"),     # Monte-Carlo replications
@@ -90,8 +87,6 @@ KEYS: dict[str, tuple[object, str | None, str]] = {
     "target": ({t: t for t in ("availability", "preamble", "rach", "efficiency")},
                "app", "target"),                        # custom sweep quantity
 }
-
-_ALIASES = {"l": "l_preambles"}
 
 
 @dataclass(frozen=True)
@@ -119,7 +114,6 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, value = (part.strip() for part in body.split("=", 1))
-        key = _ALIASES.get(key, key)
         if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
         if not value:
@@ -170,12 +164,6 @@ def _convert(key: str, text: str, kind: object) -> object:
             return int(token)
         except ValueError as exc:
             raise ConfigError(f"{key}: expected an integer, got {text!r}") from exc
-    if kind == "bool":
-        if token.lower() in ("true", "yes", "on", "1"):
-            return True
-        if token.lower() in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {text!r}")
     if kind == "list":
         items = [t for t in (piece.strip() for piece in text.split(",")) if t]
         if not items:
@@ -249,8 +237,6 @@ def load_config(path: str | None) -> AppConfig:
 def _render(kind: object, value: object) -> str:
     if isinstance(kind, dict) or kind in ("int", "str"):
         return str(getattr(value, "value", value))
-    if kind == "bool":
-        return "on" if value else "off"
     if kind == "list":
         return ", ".join(format(v, ".12g") for v in value)
     base = [u for u, scale in _UNITS[kind].items() if scale == 1.0]

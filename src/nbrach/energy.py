@@ -8,8 +8,10 @@ quanta for a full preamble cycle (one quantum per repetition).  The
 fraction of time spent ON is the energy availability.
 
 Two depletion regimes bound the truth: every attempt failing (preamble
-energy only, the faster drain per stored quantum) and every attempt
-succeeding (preamble plus data grant energy per quantum).
+energy only, the faster drain per stored quantum) gives the lower
+availability bound, and every attempt succeeding (preamble plus data grant
+energy per quantum) the upper one.  energy_availability and
+simulate_energy_chain take the lower bound's drain, depletion_rate.
 
 The availability comes in closed form from the ON-phase hitting time and
 is checked against a simulation of whole ON/OFF cycles.  Each cycle starts
@@ -21,9 +23,8 @@ step count as shape.  A fixed budget of transitions cuts the run.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -43,19 +44,13 @@ DES_CHUNK_ELEMENTS = 1 << 18
 DES_ROW_MARGIN = 1.1
 
 
-class BoundMode(enum.Enum):
-    """Which depletion regime the chain models."""
-
-    FAILURE = "failure"
-    SUCCESS = "success"
-
-
 @dataclass(frozen=True)
 class EnergyConfig:
     """Parameters of the battery chain.
 
     Energies are joules, rates are events per second.  m0 is the battery
-    capacity in quanta, n_t the repetition value (= ON threshold in quanta).
+    capacity in quanta, n_t the repetition value (= ON threshold in quanta),
+    one of NPRACH's STANDARD_REPETITIONS.
     Defaults are the reference operating point: 20 mW transmit power, 6 ms
     preamble repetitions, calibrated data-phase energy per repetition.
     """
@@ -67,8 +62,6 @@ class EnergyConfig:
     e0_da: float = 2.48e-4
     m0: int = 161
     n_t: int = 1
-    bound_mode: BoundMode = BoundMode.FAILURE
-    enforce_standard_repetitions: bool = True
 
     def __post_init__(self):
         real(self.mu0, "mu0", gt=0.0)
@@ -76,19 +69,14 @@ class EnergyConfig:
         real(self.p, "p", gt=0.0)
         real(self.e0_ra, "e0_ra", gt=0.0)
         real(self.e0_da, "e0_da", ge=0.0)
-        # the depletion rate of each bound (depletion_rate) must not overflow or underflow
+        # the depletion rate of each bound (availability_bounds) must not overflow or underflow
         real(self.a_a * self.p / self.e0_ra, "a_a*p/e0_ra", gt=0.0)
         real(self.a_a * self.p / (self.e0_ra + self.e0_da), "a_a*p/(e0_ra+e0_da)", gt=0.0)
         integer(self.m0, "m0", ge=1)
         integer(self.n_t, "n_t", ge=1, le=self.m0)
-        if self.enforce_standard_repetitions and self.n_t not in STANDARD_REPETITIONS:
+        if self.n_t not in STANDARD_REPETITIONS:
             raise ConfigError(
                 f"n_t={self.n_t} is not a standard repetition value {STANDARD_REPETITIONS}")
-        if not isinstance(self.bound_mode, BoundMode):
-            raise ConfigError("bound_mode must be a BoundMode")
-
-    def with_bound(self, mode: BoundMode) -> "EnergyConfig":
-        return replace(self, bound_mode=mode)
 
 
 @dataclass(frozen=True)
@@ -113,17 +101,13 @@ class ChainEstimate:
 
 
 def depletion_rate(cfg: EnergyConfig) -> float:
-    """Drain rate nu0 in quanta per second for the configured regime.
+    """Drain rate nu0 in quanta per second when every attempt fails, the
+    lower availability bound's regime.
 
     The device transmits a fraction a_a of the time at power p; one quantum
-    holds the energy of one repetition (preamble only, or preamble plus the
-    data grant when every attempt is assumed to succeed).
+    holds the energy of one preamble repetition.
     """
-    if cfg.bound_mode is BoundMode.FAILURE:
-        unit = cfg.e0_ra
-    else:
-        unit = cfg.e0_ra + cfg.e0_da
-    return cfg.a_a * cfg.p / unit
+    return cfg.a_a * cfg.p / cfg.e0_ra
 
 
 def _chain_capacity(mu0: float, nu0: float, capacity: int) -> int:
@@ -234,9 +218,14 @@ def mean_off_time(cfg: EnergyConfig) -> float:
 
 
 def energy_availability(cfg: EnergyConfig) -> AvailabilityResult:
-    """Stationary fraction of time the device is ON, renewal cycle ratio
-    mean_on / (mean_on + mean_off)."""
-    nu0 = depletion_rate(cfg)
+    """Stationary fraction of time the device is ON when every attempt
+    fails: the lower availability bound, which simulate_energy_chain
+    estimates."""
+    return _availability(cfg, depletion_rate(cfg))
+
+
+def _availability(cfg: EnergyConfig, nu0: float) -> AvailabilityResult:
+    # renewal cycle ratio mean_on / (mean_on + mean_off) at drain rate nu0
     t_on = mean_on_time(cfg.mu0, nu0, cfg.m0, cfg.n_t)
     t_off = mean_off_time(cfg)
     if math.isinf(t_on):
@@ -248,10 +237,10 @@ def energy_availability(cfg: EnergyConfig) -> AvailabilityResult:
 
 def availability_bounds(cfg: EnergyConfig) -> tuple[AvailabilityResult, AvailabilityResult]:
     """(lower, upper) availability: all-failure drain is the faster drain per
-    quantum, all-success the slower, so they bracket the mixed truth."""
-    lower = energy_availability(cfg.with_bound(BoundMode.FAILURE))
-    upper = energy_availability(cfg.with_bound(BoundMode.SUCCESS))
-    return lower, upper
+    quantum, all-success (preamble plus data grant energy per quantum) the
+    slower, so they bracket the mixed truth."""
+    upper = _availability(cfg, cfg.a_a * cfg.p / (cfg.e0_ra + cfg.e0_da))
+    return energy_availability(cfg), upper
 
 
 def _on_phase_lengths(rng: np.random.Generator, p_up: float, m0: int, n_t: int,

@@ -83,7 +83,6 @@ class ChannelConfig:
     a_a: float = 0.001
     eta0: float = 0.3
     l_preambles: int = 48
-    epsilon_override: float | None = None
 
     def __post_init__(self):
         real(self.alpha, "alpha", gt=2.0)  # the interference field converges only for alpha > 2
@@ -95,8 +94,6 @@ class ChannelConfig:
         real(self.a_a, "a_a", gt=0.0, le=1.0)
         real(self.eta0, "eta0", ge=0.0, le=1.0)
         integer(self.l_preambles, "l_preambles", ge=1)
-        if self.epsilon_override is not None:
-            real(self.epsilon_override, "epsilon_override", gt=0.0)
 
 
 @dataclass(frozen=True)
@@ -128,15 +125,12 @@ def active_density(cfg: ChannelConfig) -> float:
     return cfg.a_a * cfg.eta0 * cfg.lambda_d / cfg.l_preambles
 
 
-def select_epsilon(lambda_da: float, lambda_b: float,
-                   override: float | None = None) -> float:
+def select_epsilon(lambda_da: float, lambda_b: float) -> float:
     """Distance-law correction factor: 1 in the sparse-transmitter regime,
     1.25 once contenders outnumber stations.  The crossover sits at
-    density ratio 1; an explicit override wins."""
+    density ratio 1."""
     real(lambda_b, "lambda_b", gt=0.0)
     real(lambda_da, "lambda_da", ge=0.0)
-    if override is not None:
-        return float(real(override, "override", gt=0.0))
     return 1.25 if lambda_da / lambda_b > 1.0 else 1.0
 
 
@@ -246,7 +240,7 @@ def joint_symbol_success(l: int, cfg: ChannelConfig,
 def _joint_symbol_success(l: int, cfg: ChannelConfig, mode: InterferenceMode,
                           q: QuadratureSettings) -> float:
     lam_da = active_density(cfg)
-    eps = select_epsilon(lam_da, cfg.lambda_b, cfg.epsilon_override)
+    eps = select_epsilon(lam_da, cfg.lambda_b)
     s_dist = eps * math.pi * cfg.lambda_b
     noise_coef = l * cfg.gamma_th * cfg.sigma2 / cfg.p
     half_alpha = cfg.alpha / 2.0

@@ -13,20 +13,20 @@ far-field tail bound: the typical-point law of the infinite plane
 with the truncation bias kept a measured fraction of the confidence
 interval.
 
-The geometry sampler works in two steps: `draw` makes one attempt's raw
-draws (Poisson counts, disc uniforms) from its generator, or None when
-it refuses the attempt for an empty station window, and `place` turns a
-chunk of accepted draws into the tagged stations' distances and
-same-cell masks, one row each.  simulate_summary owns the one
-replication loop: seeding, chunks and tallies.  All that follows the
-draws runs once per chunk on arrays padded to the chunk's widest
-attempt.  `place` finds the serving station among the stations radially
-next to the nearest, and places the rest only for trials with a device
-close enough to need the cell-membership search; contention_outcome,
-the one scorer, forms a whole chunk's received powers in its fading
-array and scores them in one pass.  Pools add each trial's devices in
-row order, so a trial scores the same in any chunk: the chunking never
-changes a result or a CSV byte.
+Each attempt's raw draws (Poisson counts, disc uniforms) come from
+_draw_field, which refuses the attempt, returning None, for an empty
+station window.  The geometry sampler's `place` turns a chunk of
+accepted draws into the tagged stations' distances and same-cell masks,
+one row each.  simulate_summary owns the one replication loop: seeding,
+draws, chunks and tallies.  All that follows the draws runs once per
+chunk on arrays padded to the chunk's widest attempt.  `place` finds the
+serving station among the stations radially next to the nearest, and
+places the rest only for trials with a device close enough to need the
+cell-membership search; contention_outcome, the one scorer, forms a
+whole chunk's received powers in its fading array and scores them in one
+pass.  Pools add each trial's devices in row order, so a trial scores
+the same in any chunk: the chunking never changes a result or a CSV
+byte.
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ def interference_horizon(cfg: ChannelConfig, n_t: int, tail_tol: float) -> float
     floor = _CELL_CHECK_RADII / math.sqrt(math.pi * cfg.lambda_b)
     if lam_da == 0.0:
         return floor
-    eps = select_epsilon(lam_da, cfg.lambda_b, cfg.epsilon_override)
+    eps = select_epsilon(lam_da, cfg.lambda_b)
     s = eps * math.pi * cfg.lambda_b + 2.0 * math.pi * lam_da \
         * cfg.gamma_th ** (2.0 / cfg.alpha) * pgfl_kernel(cfg.alpha, l)
     coef = (2.0 * math.pi * lam_da * l * cfg.gamma_th
@@ -252,9 +252,6 @@ class _OriginSampler:
                                "more than one trial can draw")
         # expected devices within cell_check of the serving station
         self.mean_near = active_density(cfg) * math.pi * self.cell_check ** 2
-
-    def draw(self, rng: np.random.Generator):
-        return _draw_field(rng, self.mean_enb, self.mean_int)
 
     def place(self, draws):
         # the serving station is the first nearest by column; a radial uniform
@@ -295,8 +292,8 @@ def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = Inte
     """Run the full estimator and return transmission, collision and
     random-access tallies with confidence intervals.
 
-    Attempt k draws from its own stream SeedSequence((seed, k)).  The
-    sampler's `draw` is the one place an attempt is refused, for an empty
+    Attempt k draws from its own stream SeedSequence((seed, k)).
+    _draw_field is the one place an attempt is refused, for an empty
     station window: a refused attempt counts as a redraw and is skipped,
     and the next attempt takes its place.  The raw draws are made one
     attempt at a time into a chunk of accepted attempts, and all that
@@ -318,7 +315,7 @@ def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = Inte
         while done + len(draws) < n:
             rng = np.random.default_rng(np.random.SeedSequence((settings.seed, attempt)))
             attempt += 1
-            draw = sampler.draw(rng)
+            draw = _draw_field(rng, sampler.mean_enb, sampler.mean_int)
             if draw is None:
                 redraws += 1
                 continue

@@ -61,15 +61,22 @@ def test_criterion_1_inverse_identity():
     worst = Fraction(0)
     for mu0, nu0, cap in rate_grid():
         m = neg_B_inverse(mu0, nu0, cap, exact=True)
+        # the exact residual (-B0) m - I in integers: scaled by m's common
+        # denominator and by the rates' power-of-two one
         mu, nu = Fraction(mu0), Fraction(nu0)
+        den = math.lcm(*(x.denominator for x in m.flat))
+        rate_den = math.lcm(mu.denominator, nu.denominator)
+        m = np.array([x.numerator * (den // x.denominator) for x in m.flat],
+                     dtype=object).reshape(cap, cap)
+        mu, nu = int(mu * rate_den), int(nu * rate_den)
         for i in range(cap):
             row = ((mu + nu) if i < cap - 1 else nu) * m[i]
             if i > 0:
                 row = row - nu * m[i - 1]
             if i < cap - 1:
                 row = row - mu * m[i + 1]
-            row[i] -= 1
-            r = max(abs(x) for x in row)
+            row[i] -= den * rate_den
+            r = Fraction(max(abs(x) for x in row), den * rate_den)
             if r > worst:
                 worst = r
     secs = time.perf_counter() - t0

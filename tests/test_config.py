@@ -16,7 +16,6 @@ from nbrach.config import (
     with_value,
 )
 from nbrach.energy import (
-    BoundMode,
     EnergyConfig,
     generator_matrix,
     hitting_times_solve,
@@ -51,11 +50,6 @@ def test_parse_basic_lines():
     n_t = 2
     """)
     assert raw == {"lambda_b": "1 /km2", "lambda_d": "1000", "n_t": "2"}
-
-
-def test_parse_alias():
-    raw = parse_config_text("l = 64")
-    assert raw == {"l_preambles": "64"}
 
 
 def test_parse_unknown_key_reports_line():
@@ -133,13 +127,8 @@ def test_non_finite_numbers_rejected(text):
         cfg_from(text)
 
 
-def test_bool_and_enum_values():
-    c = cfg_from("standard_repetitions = off\nn_t = 3\nmode = intra\nbound = success")
-    assert c.energy.n_t == 3
-    assert c.mode is InterferenceMode.INTRA_CELL_ONLY
-    assert c.energy.bound_mode is BoundMode.SUCCESS
-    with pytest.raises(ConfigError, match="boolean"):
-        cfg_from("standard_repetitions = maybe")
+def test_enum_values():
+    assert cfg_from("mode = intra").mode is InterferenceMode.INTRA_CELL_ONLY
     with pytest.raises(ConfigError, match="expected one of"):
         cfg_from("mode = everything")
 
@@ -199,8 +188,10 @@ def test_sim_fields():
     assert c.sim == SimSettings(replications=500, seed=9, tail_tol=1e-4)
 
 
-@pytest.mark.parametrize("line", ["region_area = 400 km2", "guard = 0.5 km", "redraw_budget = 5"])
-def test_finite_window_keys_are_unknown(line):
+@pytest.mark.parametrize("line", ["region_area = 400 km2", "guard = 0.5 km", "redraw_budget = 5",
+                                  "bound = success", "standard_repetitions = off",
+                                  "epsilon = 1.1", "l = 64"])
+def test_removed_keys_are_unknown(line):
     # keys of no setting: a file naming one is refused, not silently ignored
     key = line.split(" =")[0]
     with pytest.raises(ConfigError, match=f"line 2: unknown configuration key '{key}'"):
@@ -269,7 +260,7 @@ def test_with_value_rebuilds_derived_defaults():
 
 
 def test_unknown_key_outside_parsing_is_config_error():
-    # aliases resolve only in parse_config_text; the API takes table keys
+    # the API takes the file's keys, and only those
     with pytest.raises(ConfigError, match="'l'"):
         build_config({"l": "64"})
     with pytest.raises(ConfigError, match="'bogus'"):
@@ -319,10 +310,10 @@ def test_describe_is_canonical():
 
 @pytest.mark.parametrize("text", [
     "",
-    "standard_repetitions = off\nn_t = 3",
-    "bound = success",
+    "n_t = 4\nm0 = 20",
+    "mu0 = 0.1\ne0_da = 0 uJ",
     "tail_tol = 1e-4\nlambda_b = 1",
-    "epsilon = 1.1\nbw = 4 kHz",
+    "eta0 = 0.5\nbw = 4 kHz",
     "seed = 3\nmode = intra\nsweep_values = 1, 2\ntarget = rach",
 ])
 def test_describe_is_a_fixed_point(text):

@@ -62,7 +62,7 @@ CONTRACT = {
     "rach.ChannelConfig": (ChannelConfig, {}),
     "rach.noise_power_watt": (noise_power_watt, {"bandwidth_hz": 3750.0}),
     "rach.symbol_group_count": (symbol_group_count, {"n_t": 1}),
-    "rach.select_epsilon": (select_epsilon, {"lambda_da": 0.1, "lambda_b": 1.0, "override": 1.0}),
+    "rach.select_epsilon": (select_epsilon, {"lambda_da": 0.1, "lambda_b": 1.0}),
     "rach.pgfl_kernel": (pgfl_kernel, {"alpha": 4.0, "l": 4}),
     "rach.joint_symbol_success": (joint_symbol_success, {"l": 4, "cfg": ChannelConfig()}),
     "rach.preamble_success_prob": (preamble_success_prob, _RACH),

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nbrach.energy import (
-    BoundMode,
     EnergyConfig,
     availability_bounds,
     depletion_rate,
@@ -156,9 +155,8 @@ def test_property_on_time_monotone_in_harvest(nu0, cap, m):
 
 def test_depletion_rate_regimes():
     cfg = EnergyConfig()
-    fail = depletion_rate(cfg.with_bound(BoundMode.FAILURE))
-    succ = depletion_rate(cfg.with_bound(BoundMode.SUCCESS))
-    assert fail == pytest.approx(cfg.a_a * cfg.p / cfg.e0_ra)
+    fail, succ = (bound.nu0 for bound in availability_bounds(cfg))
+    assert fail == depletion_rate(cfg) == pytest.approx(cfg.a_a * cfg.p / cfg.e0_ra)
     assert succ == pytest.approx(cfg.a_a * cfg.p / (cfg.e0_ra + cfg.e0_da))
     assert fail > succ
 
@@ -209,8 +207,6 @@ def test_config_validation():
         EnergyConfig(n_t=200, m0=161)
     with pytest.raises(ConfigError):
         EnergyConfig(n_t=3)
-    cfg = EnergyConfig(n_t=3, m0=20, enforce_standard_repetitions=False)
-    assert cfg.n_t == 3
 
 
 # ---------------------------------------------------------------- simulator
@@ -294,7 +290,7 @@ def test_chain_matches_event_loop_in_law(mu0, n_t, m0, budget):
     # short budgets make the cut phase matter (budget 10 cuts an ON or OFF
     # phase in most runs); means of eta_hat and cycles over independent
     # runs agree within 4 combined standard errors
-    cfg = EnergyConfig(mu0=mu0, n_t=n_t, m0=m0, enforce_standard_repetitions=False)
+    cfg = EnergyConfig(mu0=mu0, n_t=n_t, m0=m0)
     runs = 400
     rng = np.random.default_rng(31)
     ref = np.array([_event_loop_chain(cfg, budget, rng) for _ in range(runs)])

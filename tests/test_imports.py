@@ -33,21 +33,59 @@ def test_no_private_cross_module_imports():
     assert offenders == []
 
 
-def scipy_loaded_by(*sweeps) -> list[str]:
-    """The scipy modules a fresh interpreter holds after running each sweep
-    (a list of `nbrach sweep` arguments)."""
-    code = "import sys, nbrach.cli\n" + "".join(
-        f"assert nbrach.cli.main(['sweep', *{args!r}]) == 0\n" for args in sweeps) + \
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def scipy_loaded_after(*sweeps) -> list[list[str]]:
+    """The scipy modules one fresh interpreter holds after `import nbrach.cli`
+    and then after each sweep (a list of `nbrach sweep` arguments), run in
+    turn from empty joint-success and kernel memos, as conftest.py starts
+    each test."""
+    code = "\n".join([
+        "import sys, nbrach.cli",
+        "from nbrach import rach",
+        "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "loaded = [scipy()]",
+        f"for args in {list(sweeps)!r}:",
+        "    rach._joint_symbol_success.cache_clear()",
+        "    rach._pgfl_kernel.cache_clear()",
+        "    assert nbrach.cli.main(['sweep', *args]) == 0, args",
+        "    loaded.append(scipy())",
+        "print(loaded)"])
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     return ast.literal_eval(out.strip())
 
 
-def test_cli_import_loads_no_scipy():
+# (preset, engine, mode) of each rach launch that loads no scipy; a FULL
+# case's id leaves out its mode, as it did before INTRA cases were added
+NO_SCIPY_LAUNCHES = [*((f"fig{k}", "analytic", "full") for k in range(7, 14)),
+                     ("fig10", "both", "full"),
+                     *((f"fig{k}", "analytic", "intra") for k in range(7, 14))]
+
+
+@pytest.fixture(scope="module")
+def no_scipy_sweeps(tmp_path_factory):
+    """{launch: (scipy modules its sweep added, its CSV)} for the two
+    closed-form presets and every launch of NO_SCIPY_LAUNCHES, all run in
+    one interpreter, and the modules `import nbrach.cli` loaded under None.
+    A module once loaded stays loaded, so each launch is charged only with
+    what it added, and a failure names the launch that loaded scipy."""
+    tmp = tmp_path_factory.mktemp("no_scipy")
+    for mode in ("full", "intra"):
+        (tmp / f"{mode}.cfg").write_text(f"replications = 50\nmode = {mode}\n", encoding="utf-8")
+    args = {"fig5": ["--preset", "fig5"],
+            "fig6": ["--preset", "fig6", "--engine", "both", "--seed", "1"],
+            **{launch: ["--preset", launch[0], "--engine", launch[1], "--seed", "1",
+                        "--config", str(tmp / f"{launch[2]}.cfg")] for launch in NO_SCIPY_LAUNCHES}}
+    out = {launch: tmp / f"{i}.csv" for i, launch in enumerate(args)}
+    loaded = scipy_loaded_after(*([*a, "--out", str(out[launch])] for launch, a in args.items()))
+    return {None: (loaded[0], None),
+            **{launch: (sorted(set(after) - set(before)), out[launch])
+               for launch, before, after in zip(args, loaded, loaded[1:])}}
+
+
+def test_cli_import_loads_no_scipy(no_scipy_sweeps):
     # scipy.special is imported where a special function is evaluated, so a
     # launch that needs none does not pay for it
-    assert scipy_loaded_by() == []
+    assert no_scipy_sweeps[None][0] == []
 
 
 # public names that only the tests call, each with its reason
@@ -186,14 +224,13 @@ def test_benchmark_tracer_reads_what_the_program_returns():
     assert (metrics["simulation.redraws"], metrics["simulation.accept_ratio"]) == (0, 1.0)
 
 
-def test_closed_form_presets_load_no_scipy(tmp_path):
+def test_closed_form_presets_load_no_scipy(no_scipy_sweeps):
     # the availability presets need no quadrature and no log-gamma, analytic
     # or simulated, so their launches skip the scipy import
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert scipy_loaded_by(["--preset", "fig5", "--out", str(a)],
-                           ["--preset", "fig6", "--engine", "both", "--seed", "1",
-                            "--out", str(b)]) == []
-    assert a.stat().st_size > 0 and b.stat().st_size > 0
+    for preset in ("fig5", "fig6"):
+        added, out = no_scipy_sweeps[preset]
+        assert added == [], preset
+        assert out.stat().st_size > 0
 
 
 def test_rach_presets_load_no_scipy_integrate(tmp_path):
@@ -202,31 +239,21 @@ def test_rach_presets_load_no_scipy_integrate(tmp_path):
     # for its incomplete-beta kernel
     general = tmp_path / "alpha3.cfg"
     general.write_text("mode = intra\nalpha = 3\n", encoding="utf-8")
-    analytic = scipy_loaded_by(["--preset", "fig10", "--config", str(general),
-                                "--out", str(tmp_path / "alpha3.csv")])
+    analytic = scipy_loaded_after(["--preset", "fig10", "--config", str(general),
+                                   "--out", str(tmp_path / "alpha3.csv")])[-1]
     assert "scipy.special" in analytic
     assert [m for m in analytic if m.startswith(
         ("scipy.integrate", "scipy.optimize", "scipy.sparse"))] == []
 
 
-# (preset, engine, mode) of each rach launch that loads no scipy; a FULL
-# case's id leaves out its mode, as it did before INTRA cases were added
-NO_SCIPY_LAUNCHES = [*((f"fig{k}", "analytic", "full") for k in range(7, 14)),
-                     ("fig10", "both", "full"),
-                     *((f"fig{k}", "analytic", "intra") for k in range(7, 14))]
-
-
-@pytest.mark.parametrize("preset,engine,mode", [
-    pytest.param(*launch, id="-".join(launch[:2] if launch[2] == "full" else launch))
+@pytest.mark.parametrize("launch", [
+    pytest.param(launch, id="-".join(launch[:2] if launch[2] == "full" else launch))
     for launch in NO_SCIPY_LAUNCHES])
-def test_full_rach_launches_load_no_scipy(tmp_path, preset, engine, mode):
+def test_full_rach_launches_load_no_scipy(no_scipy_sweeps, launch):
     # the cell-load law takes math.lgamma, the FULL kernel is a transcribed
     # quadrature and the INTRA kernel at the presets' alpha = 4 the arcsine
     # law, so neither an analytic launch nor a simulated one, which sizes its
     # interferer window with the FULL kernel, needs scipy
-    few = tmp_path / "few.cfg"
-    few.write_text(f"replications = 50\nmode = {mode}\n", encoding="utf-8")
-    out = tmp_path / "out.csv"
-    assert scipy_loaded_by(["--preset", preset, "--engine", engine, "--seed", "1",
-                            "--config", str(few), "--out", str(out)]) == []
+    added, out = no_scipy_sweeps[launch]
+    assert added == []
     assert out.stat().st_size > 0

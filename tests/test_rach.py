@@ -178,7 +178,8 @@ def test_select_epsilon_crossover():
     assert select_epsilon(1.0, 1.0) == 1.0
     assert select_epsilon(1.0 + 1e-12, 1.0) == 1.25
     assert select_epsilon(100.0, 1.0) == 1.25
-    assert select_epsilon(100.0, 1.0, override=1.1) == 1.1
+    with pytest.raises(TypeError, match="override"):  # the density ratio alone decides
+        select_epsilon(100.0, 1.0, override=1.1)
 
 
 # ------------------------------------------------------ joint group success
@@ -376,13 +377,12 @@ def test_cell_load_empty_field():
     lambda: cell_load_pmf(0, 0.1, math.inf),
     lambda: cell_load_pmf(0, math.inf, 0.1),
     lambda: cell_load_truncation(math.inf, 1.0),
-    lambda: select_epsilon(0.1, 1.0, -1.0),
     lambda: pgfl_kernel(1.5, 4),
     lambda: pgfl_kernel(2.0, 4),
 ], ids=["select_epsilon-lambda_b", "cell_load_pmf-lambda_b", "cell_load_pmf-lambda_da",
         "select_epsilon-lambda_da", "select_epsilon-negative", "cell_load_pmf-inf-lambda_b",
         "cell_load_pmf-inf-lambda_da", "cell_load_truncation-inf",
-        "select_epsilon-negative-override", "pgfl_kernel-alpha-below-2", "pgfl_kernel-alpha-2"])
+        "pgfl_kernel-alpha-below-2", "pgfl_kernel-alpha-2"])
 def test_sign_checks_reject_nan(call):
     # written `x < 0.0`, a sign check returns 1.0 or NaN for a NaN input; an
     # unbounded one lets +inf through to a math domain error or NaN masses
@@ -563,8 +563,6 @@ def test_channel_config_validation():
         ChannelConfig(eta0=1.5)
     with pytest.raises(ConfigError):
         ChannelConfig(l_preambles=0)
-    with pytest.raises(ConfigError):
-        ChannelConfig(epsilon_override=-1.0)
 
 
 def test_scale_invariance_of_success():
@@ -630,7 +628,7 @@ MEMO_VARIANTS = {
     **{f: (8, replace(DESK, **{f: v}), InterferenceMode.FULL, None)
        for f, v in (("alpha", 3.5), ("gamma_th", 10.0), ("p", 0.05), ("sigma2", 0.0),
                     ("lambda_b", 2.0), ("lambda_d", 500.0), ("a_a", 0.002), ("eta0", 0.5),
-                    ("l_preambles", 24), ("epsilon_override", 1.1))},
+                    ("l_preambles", 24))},
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nbrach import simulation
+from nbrach.energy import EnergyConfig
 from nbrach.errors import ConfigError, NumericError
 from nbrach.rach import ChannelConfig, InterferenceMode, joint_symbol_success
 from nbrach.simulation import (
@@ -311,12 +312,22 @@ def test_settings_validation():
         SimSettings(tail_tol=0.0)
 
 
-@pytest.mark.parametrize("name, value", [("region", 1.0), ("guard", 0.5), ("redraw_budget", 5)])
-def test_window_settings_are_gone(name, value):
-    # no sampler takes a region, guard or redraw budget; region reads as a
-    # constant None that no caller sets
+REMOVED_SETTINGS = (
+    (SimSettings, "region", 1.0), (SimSettings, "guard", 0.5), (SimSettings, "redraw_budget", 5),
+    (EnergyConfig, "bound_mode", "success"), (EnergyConfig, "enforce_standard_repetitions", False),
+    (ChannelConfig, "epsilon_override", 1.1),
+)
+
+
+@pytest.mark.parametrize("layer, name, value", REMOVED_SETTINGS,
+                         ids=[f"{layer.__name__}-{name}" for layer, name, _ in REMOVED_SETTINGS])
+def test_removed_settings_are_gone(layer, name, value):
+    # no sampler takes a region, guard or redraw budget, the battery chain
+    # models both regimes and only NPRACH's repetition values, and the
+    # density ratio alone sets epsilon; region reads as a constant None that
+    # no caller sets
     with pytest.raises(TypeError, match=name):
-        SimSettings(**{name: value})
+        layer(**{name: value})
     assert SimSettings().region is None
 
 

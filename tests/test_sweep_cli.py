@@ -296,8 +296,10 @@ def test_cli_config_error_exit(tmp_path, capsys):
     assert "alpha" in err
 
 
-@pytest.mark.parametrize("line", ["region_area = 400 km2", "guard = 0.5 km", "redraw_budget = 5"])
-def test_cli_validate_refuses_finite_window_keys(tmp_path, capsys, line):
+@pytest.mark.parametrize("line", ["region_area = 400 km2", "guard = 0.5 km", "redraw_budget = 5",
+                                  "bound = success", "standard_repetitions = off",
+                                  "epsilon = 1.1", "l = 64"])
+def test_cli_validate_refuses_removed_keys(tmp_path, capsys, line):
     # keys of no setting exit as any other unknown key does
     cfg = write_cfg(tmp_path, f"lambda_b = 1\n{line}\n")
     assert main(["validate", "--config", cfg]) == EXIT_CONFIG == 2
