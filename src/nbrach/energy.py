@@ -26,10 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, integer, real
+
+if TYPE_CHECKING:  # for annotations: numpy is imported where arrays are built
+    import numpy as np
 
 # NPRACH repetition values admitted by the standard.
 STANDARD_REPETITIONS = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -125,6 +127,7 @@ def generator_matrix(mu0: float, nu0: float, capacity: int, exact: bool = False)
     nu0, the full battery only drains.  Rows sum to zero.  With exact=True
     the matrix is built from Fractions of the given rates (object dtype).
     """
+    import numpy as np
     capacity = _chain_capacity(mu0, nu0, capacity)
     num = Fraction if exact else float
     mu, nu = num(mu0), num(nu0)
@@ -148,6 +151,7 @@ def neg_B_inverse(mu0: float, nu0: float, capacity: int, exact: bool = False) ->
     level 0 from level m.  With exact=True everything is computed in
     rational arithmetic on the binary values of the rates.
     """
+    import numpy as np
     capacity = _chain_capacity(mu0, nu0, capacity)
     num = Fraction if exact else float
     rho, inv_nu = num(mu0) / num(nu0), 1 / num(nu0)
@@ -176,6 +180,7 @@ def hitting_times_solve(mu0: float, nu0: float, capacity: int) -> np.ndarray:
     componentwise stable for any rate ratio (a pivoted LU from the other
     end loses the solution entirely for mu0 >> nu0).
     """
+    import numpy as np
     capacity = _chain_capacity(mu0, nu0, capacity)
     d = np.empty(capacity)
     d[-1] = 1.0 / nu0
@@ -255,6 +260,7 @@ def _on_phase_lengths(rng: np.random.Generator, p_up: float, m0: int, n_t: int,
     stops there: it is the phase the budget cuts.  Returns the lengths in
     order and whether the last one finished (every earlier one did).
     """
+    import numpy as np
     length = np.zeros(rows, dtype=np.int64)
     done = np.zeros(rows, dtype=bool)
     level = np.full(rows, n_t, dtype=np.int32)
@@ -306,6 +312,7 @@ def simulate_energy_chain(cfg: EnergyConfig, num_transitions: int = 1_000_000,
     regenerative standard error comes from the completed (ON, OFF) pairs.
     Deterministic for a fixed seed.
     """
+    import numpy as np
     integer(num_transitions, "num_transitions", ge=1)
     integer(seed, "seed", ge=0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE4E26)))

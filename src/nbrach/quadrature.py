@@ -7,17 +7,16 @@ map of (0, 1], the error-list insertion `dqpsrt` and the epsilon-algorithm
 extrapolation `dqelg`.  The transcription keeps the Fortran's operation
 order, constants and control flow in scalar floats, so it returns what
 `scipy.integrate.quad(f, 0, inf)` returns, bit for bit, without importing
-scipy.integrate.  On top of it, `improper_integral` turns silent accuracy
-loss into a QuadratureError and normalises the tolerance contract: on
-success the returned error estimate is at most rel_tol*|value| + abs_tol.
+scipy.integrate or numpy.  On top of it, `improper_integral` turns silent
+accuracy loss into a QuadratureError and normalises the tolerance contract:
+on success the returned error estimate is at most rel_tol*|value| + abs_tol.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import QuadratureError, integer, real
 
@@ -291,8 +290,10 @@ def _qagi(f, epsabs: float, epsrel: float, limit: int):
             result = result + value
         return result, errsum, ier - (ier > 2), last
     if not (ksgn == -1 and max(abs(result), abs(area)) <= defabs * 0.01):  # test on divergence
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.float64(result) / area  # IEEE, as in the Fortran: area may be 0
+        if area != 0.0:
+            ratio = result / area
+        else:  # IEEE, as in the Fortran: x/0 is +-inf, a divergence; 0/0 and NaN/0 are NaN
+            ratio = math.nan if result == 0.0 or math.isnan(result) else math.inf
         if 0.01 > ratio or ratio > 100.0 or errsum > abs(area):
             ier = 6
     return result, abserr, ier - (ier > 2), last

@@ -12,8 +12,9 @@ cell.  Each distinct joint success is one quadrature over the serving
 distance per process (memoised: repetition counts and series share them),
 with one interference exponent for both modes (the unbounded kernel adds one
 memoised quadrature; the cell-truncated one is closed-form), plus a cell-load sum.
-Only the cell-truncated kernel at alpha != 4 imports scipy (`scipy.special`,
-on use); at alpha = 4 its incomplete beta is the arcsine law.
+All of it is scalar stdlib arithmetic except the cell-truncated kernel, which
+imports numpy on use, and at alpha != 4 scipy (`scipy.special`) too; at
+alpha = 4 its incomplete beta is the arcsine law.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConfigError, NumericError, integer, real
 from .quadrature import QuadratureSettings, improper_integral
@@ -176,6 +176,7 @@ def _truncated_kernel(alpha: float, l: int):
     (delta/2) [Q_l B_0 - X^delta (1-X)^(1-delta) sum_{i<l-1} w_i X^i], where
     P_j = Gamma(j + delta) / (Gamma(delta) j!), Q_k = sum_{j<k} P_j and
     w_i = (Q_l - Q_{i+1}) / ((i + 1) P_{i+1}) > 0 are built once per call."""
+    import numpy as np  # imported on use: no other analytic path needs arrays
     d = 2.0 / alpha
     betainc, b_full = _incomplete_beta(d)
     j = np.arange(1, l)
@@ -281,61 +282,59 @@ def preamble_success_prob(n_t: int, cfg: ChannelConfig,
 
 def cell_load_pmf(n, lambda_da: float, lambda_b: float):
     """Distribution of how many other same-preamble transmitters share the
-    serving cell: negative binomial from the gamma cell-area law, evaluated
-    in the log-gamma domain with the stdlib's `math.lgamma`, element by
-    element.  Vectorises over n."""
+    serving cell: negative binomial from the gamma cell-area law, each term
+    evaluated in the log-gamma domain with the stdlib's `math.lgamma` and
+    `math.exp`.  An int n gives a float, a range a list and an integer
+    array an array, term for term the same floats."""
     real(lambda_b, "lambda_b", gt=0.0)
     real(lambda_da, "lambda_da", ge=0.0)
-    n_arr = np.asarray(n)
-    if not np.issubdtype(n_arr.dtype, np.integer):
-        raise ConfigError("n must be integer valued")
-    integer(n_arr.min(initial=0), "n", ge=0)
-    if lambda_da == 0.0:
-        out = np.where(n_arr == 0, 1.0, 0.0)
-        return out if out.ndim else float(out)
     c = VORONOI_SHAPE
     rho = lambda_da / lambda_b
-    log_pmf = ((c + 1.0) * math.log(c)
-               + _lgamma(n_arr + c + 1.0)
-               - math.lgamma(c + 1.0)
-               - _lgamma(n_arr + 1.0)
-               + n_arr * math.log(rho)
-               - (n_arr + c + 1.0) * math.log(rho + c))
-    out = np.exp(log_pmf)
-    return out if out.ndim else float(out)
 
+    def term(k: int) -> float:
+        k = integer(k, "n", ge=0)
+        if lambda_da == 0.0:
+            return 1.0 if k == 0 else 0.0
+        return math.exp((c + 1.0) * math.log(c) + math.lgamma(k + c + 1.0) - math.lgamma(c + 1.0)
+                        - math.lgamma(k + 1.0) + k * math.log(rho)
+                        - (k + c + 1.0) * math.log(rho + c))
 
-# math.lgamma element by element, so the cell-load law needs no scipy
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
+    if isinstance(n, range):
+        return [term(k) for k in n]
+    try:
+        k = operator.index(n)
+    except TypeError:  # an array
+        import numpy as np
+        n_arr = np.asarray(n)
+        if not np.issubdtype(n_arr.dtype, np.integer):
+            raise ConfigError("n must be integer valued") from None
+        return np.array([term(k) for k in n_arr.ravel().tolist()]).reshape(n_arr.shape)
+    return term(k)
 
 
 def cell_load_truncation(lambda_da: float, lambda_b: float, tail_mass: float = 1e-8) -> int:
     """Smallest n* whose cumulative cell-load mass reaches 1 - tail_mass,
     capped at CELL_LOAD_CAP."""
-    return _cell_load_head(lambda_da, lambda_b, tail_mass).size - 1
+    return len(_cell_load_head(lambda_da, lambda_b, tail_mass)) - 1
 
 
-def _cell_load_head(lambda_da: float, lambda_b: float, tail_mass: float) -> np.ndarray:
+def _cell_load_head(lambda_da: float, lambda_b: float, tail_mass: float) -> list[float]:
     """The cell-load masses of 0..n* (see cell_load_truncation)."""
     real(tail_mass, "tail_mass", gt=0.0, lt=1.0)
     target = 1.0 - tail_mass
     total = 0.0
+    masses = []
     start = 0
-    blocks = []
     while start <= CELL_LOAD_CAP:
-        # blocks of 256, the first grown 32, 32, 64, 128 with its running sum
-        # carried: the cumsum of one 256-term block, while n* < 32 costs 32 terms
+        # blocks of 32, 32, 64, 128, then 256: while n* < 32 that costs 32 terms
         stop = min(start + min(max(start, 32), 256), CELL_LOAD_CAP + 1)
-        masses = cell_load_pmf(np.arange(start, stop), lambda_da, lambda_b)
-        blocks.append(masses)
-        cum = (np.cumsum(np.insert(masses, 0, total))[1:] if start < 256
-               else total + np.cumsum(masses))
-        hit = np.nonzero(cum >= target)[0]
-        if hit.size:
-            return np.concatenate(blocks)[:start + int(hit[0]) + 1]
-        total = float(cum[-1])
+        for mass in cell_load_pmf(range(start, stop), lambda_da, lambda_b):
+            masses.append(mass)
+            total += mass
+            if total >= target:
+                return masses
         start = stop
-    return np.concatenate(blocks)
+    return masses
 
 
 def rach_success_detail(n_t: int, cfg: ChannelConfig,
@@ -350,17 +349,13 @@ def rach_success_detail(n_t: int, cfg: ChannelConfig,
     """
     q = settings or QuadratureSettings()
     p_s = preamble_success_prob(n_t, cfg, mode, q)
-    lam_da = active_density(cfg)
-    masses = _cell_load_head(lam_da, cfg.lambda_b, q.pmf_tail_mass)
-    counts = np.arange(masses.size)
-    if p_s >= 1.0:
-        no_collision = np.where(counts == 0, 1.0, 0.0)
-    else:
-        no_collision = np.exp(counts * math.log1p(-p_s))
-    value = float(p_s * np.sum(masses * no_collision))
-    tail = max(0.0, 1.0 - float(masses.sum()))
+    masses = _cell_load_head(active_density(cfg), cfg.lambda_b, q.pmf_tail_mass)
+    log_miss = math.log1p(-p_s) if p_s < 1.0 else -math.inf
+    value = p_s * sum(mass * math.exp(k * log_miss) if k else mass
+                      for k, mass in enumerate(masses))
+    tail = max(0.0, 1.0 - sum(masses))
     return RachSuccessDetail(value=min(value, 1.0), preamble_success=p_s,
-                             tail_bound=tail, terms=masses.size)
+                             tail_bound=tail, terms=len(masses))
 
 
 def rach_success_prob(n_t: int, cfg: ChannelConfig,

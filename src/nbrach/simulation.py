@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, NumericError, integer, real
 from .rach import (
@@ -46,6 +45,9 @@ from .rach import (
     select_epsilon,
     symbol_group_count,
 )
+
+if TYPE_CHECKING:  # for annotations: numpy is imported where arrays are built
+    import numpy as np
 
 # exp(-50) miss probability for the nearest-station search inside the window
 _WINDOW_LOG_MISS = 50.0
@@ -61,8 +63,11 @@ _CHUNK_ELEMENTS = 1 << 20
 # values' worth of memory an attempt holds besides its arrays: its
 # generator and the headers of its draws
 _ATTEMPT_OVERHEAD = 128
-# largest Poisson mean numpy's generators accept: int64 max - 10 sqrt(int64 max)
-_POISSON_MAX = 9.223372006484771e18
+# most values one attempt's expected arrays may hold, 16 chunks or 128 MiB:
+# room for every alpha = 4 point up to density ratio 1e4 and n_t = 32 (at most
+# 0.3 chunks) and alpha = 3.5 (3.9), but not for alpha = 3, n_t = 8 (115
+# chunks, 0.9 GiB) or alpha = 2.8, n_t = 1 (676, 5.4 GiB) at the default channel
+_ATTEMPT_ELEMENTS = 16 * _CHUNK_ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,7 @@ def _estimate(successes: int, trials: int, seed: int) -> RachEstimate:
 
 def _polar(radius: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x and y of (2, n) uniforms, radial row first, uniform on the disc."""
+    import numpy as np
     r = radius * np.sqrt(u[0])
     theta = 2.0 * math.pi * u[1]
     return r * np.cos(theta), r * np.sin(theta)
@@ -127,6 +133,7 @@ def _disc_xy(radius: float, uniforms: list[np.ndarray]) -> tuple[np.ndarray, np.
     """Place each attempt's (2, n) uniforms on the disc as one row of
     (attempts, widest) x and y arrays.  Padding sits at infinity: never
     nearest, and no power."""
+    import numpy as np
     counts = np.array([u.shape[1] for u in uniforms])
     drawn = np.arange(counts.max()) < counts[:, None]
     x = np.full(drawn.shape, np.inf)
@@ -152,7 +159,7 @@ def _nearest(x: np.ndarray, y: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np
     lowest column."""
     dx = x[:, None] - sx
     dy = y[:, None] - sy
-    return np.argmin(dx * dx + dy * dy, axis=1)
+    return (dx * dx + dy * dy).argmin(axis=1)
 
 
 def contention_outcome(dist: np.ndarray, same_cell: np.ndarray, cfg: ChannelConfig,
@@ -178,6 +185,7 @@ def contention_outcome(dist: np.ndarray, same_cell: np.ndarray, cfg: ChannelConf
     a trial in row order, padding last, so a trial scores the same alone
     or among others.
     """
+    import numpy as np
     if mode is not InterferenceMode.FULL and mode is not InterferenceMode.INTRA_CELL_ONLY:
         raise ConfigError("mode must be an InterferenceMode")
     gain = cfg.p * np.maximum(dist, 1e-12) ** (-cfg.alpha)
@@ -246,14 +254,27 @@ class _OriginSampler:
             self.mean_int = active_density(cfg) * math.pi * self.r_int ** 2
         except OverflowError:  # the horizon's square is beyond float range
             self.mean_int = math.inf
-        if not self.mean_int <= _POISSON_MAX:
-            raise NumericError(f"interference horizon {self.r_int:g} km at alpha = {cfg.alpha}, "
-                               f"n_t = {n_t} holds {self.mean_int:g} expected interferers, "
-                               "more than one trial can draw")
         # expected devices within cell_check of the serving station
         self.mean_near = active_density(cfg) * math.pi * self.cell_check ** 2
+        self.n_t = n_t
+        size = self.attempt_size(self.mean_enb, 1.0 + self.mean_int)  # at the expected counts
+        if not size <= _ATTEMPT_ELEMENTS:  # inf included
+            raise NumericError(f"interference horizon {self.r_int:g} km at alpha = {cfg.alpha}, "
+                               f"n_t = {n_t} holds {self.mean_int:g} expected interferers, "
+                               f"{size / _CHUNK_ELEMENTS:g} chunks of arrays per attempt, "
+                               "more than one trial can hold")
+
+    def attempt_size(self, stations, devices):
+        """Values an attempt's arrays hold when it has `stations` stations
+        and `devices` devices, the tagged one included: about seven of
+        stations, ten of devices, one of fading (scored in place) and seven
+        of the membership search's (searcher, station) pairs."""
+        return _ATTEMPT_OVERHEAD + 7 * stations \
+            + (10 + SYMBOL_GROUPS_PER_REPETITION * self.n_t) * devices \
+            + 7 * min(devices, self.mean_near) * stations
 
     def place(self, draws):
+        import numpy as np
         # the serving station is the first nearest by column; a radial uniform
         # 1e-9 above the row's smallest is 5e-10 further out, far beyond the
         # few-ulp error of cos, sin and hypot, so only those within are placed
@@ -303,6 +324,7 @@ def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = Inte
     one-attempt-at-a-time loop would draw too: no result depends on where
     chunks end.
     """
+    import numpy as np
     settings = settings or SimSettings()
     symbol_group_count(n_t)
     sampler = _OriginSampler(cfg, n_t, settings.tail_tol)
@@ -323,13 +345,8 @@ def simulate_summary(cfg: ChannelConfig, n_t: int, mode: InterferenceMode = Inte
             draws.append(draw)
             stations = max(stations, draw[0].shape[1])
             devices = max(devices, draw[1].shape[1] + 1)
-            # arrays at the chunk's widest attempt: about seven of stations,
-            # ten of devices, one of fading (scored in place) and seven of the
-            # membership search's (searcher, station) pairs
-            size = _ATTEMPT_OVERHEAD + 7 * stations \
-                + (10 + SYMBOL_GROUPS_PER_REPETITION * n_t) * devices \
-                + 7 * min(devices, sampler.mean_near) * stations
-            if len(draws) * size >= _CHUNK_ELEMENTS:
+            # every attempt's arrays padded to the chunk's widest
+            if len(draws) * sampler.attempt_size(stations, devices) >= _CHUNK_ELEMENTS:
                 break
 
         dist, same_cell = sampler.place(draws)

@@ -2,7 +2,7 @@
 public name has a caller, every public numeric input is in the contract
 test's table, every function the benchmark traces is bound where it looks,
 every result field its tracer reads is there, and launches that need no
-scipy load none."""
+scipy or no numpy load none."""
 
 import ast
 import dataclasses
@@ -33,26 +33,34 @@ def test_no_private_cross_module_imports():
     assert offenders == []
 
 
-def scipy_loaded_after(*sweeps) -> list[list[str]]:
-    """The scipy modules one fresh interpreter holds after `import nbrach.cli`
-    and then after each sweep (a list of `nbrach sweep` arguments), run in
-    turn from empty joint-success and kernel memos, as conftest.py starts
-    each test."""
+def modules_loaded_after(*sweeps) -> list[list[str]]:
+    """The scipy and numpy modules one fresh interpreter holds after `import
+    nbrach.cli` and then after each sweep (a list of `nbrach sweep`
+    arguments), run in turn from empty joint-success and kernel memos, as
+    conftest.py starts each test."""
     code = "\n".join([
         "import sys, nbrach.cli",
         "from nbrach import rach",
-        "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
-        "loaded = [scipy()]",
+        "def held(): return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy'))",
+        "loaded = [held()]",
         f"for args in {list(sweeps)!r}:",
         "    rach._joint_symbol_success.cache_clear()",
         "    rach._pgfl_kernel.cache_clear()",
         "    assert nbrach.cli.main(['sweep', *args]) == 0, args",
-        "    loaded.append(scipy())",
+        "    loaded.append(held())",
         "print(loaded)"])
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     return ast.literal_eval(out.strip())
 
+
+def of_package(modules, package: str) -> list[str]:
+    return [m for m in modules if m.split(".")[0] == package]
+
+
+# (preset, engine, mode) of each launch that loads no numpy: the closed-form
+# presets and every FULL rach preset, analytic
+NO_NUMPY_LAUNCHES = [(f"fig{k}", "analytic", "full") for k in range(5, 14)]
 
 # (preset, engine, mode) of each rach launch that loads no scipy; a FULL
 # case's id leaves out its mode, as it did before INTRA cases were added
@@ -62,30 +70,43 @@ NO_SCIPY_LAUNCHES = [*((f"fig{k}", "analytic", "full") for k in range(7, 14)),
 
 
 @pytest.fixture(scope="module")
-def no_scipy_sweeps(tmp_path_factory):
-    """{launch: (scipy modules its sweep added, its CSV)} for the two
-    closed-form presets and every launch of NO_SCIPY_LAUNCHES, all run in
-    one interpreter, and the modules `import nbrach.cli` loaded under None.
-    A module once loaded stays loaded, so each launch is charged only with
-    what it added, and a failure names the launch that loaded scipy."""
-    tmp = tmp_path_factory.mktemp("no_scipy")
+def launch_modules(tmp_path_factory):
+    """{launch: (scipy modules its sweep added, numpy modules held after it,
+    its CSV)} for every launch of NO_NUMPY_LAUNCHES, then fig6 with both
+    engines and the rest of NO_SCIPY_LAUNCHES, all run in one interpreter in
+    that order, and the modules `import nbrach.cli` loaded under None.  A
+    module once loaded stays loaded, so each launch is charged only with the
+    scipy it added, and a failure names the launch that loaded scipy; the
+    numpy held after a launch is what it or any launch before it loaded."""
+    tmp = tmp_path_factory.mktemp("launch_modules")
     for mode in ("full", "intra"):
         (tmp / f"{mode}.cfg").write_text(f"replications = 50\nmode = {mode}\n", encoding="utf-8")
-    args = {"fig5": ["--preset", "fig5"],
-            "fig6": ["--preset", "fig6", "--engine", "both", "--seed", "1"],
-            **{launch: ["--preset", launch[0], "--engine", launch[1], "--seed", "1",
-                        "--config", str(tmp / f"{launch[2]}.cfg")] for launch in NO_SCIPY_LAUNCHES}}
-    out = {launch: tmp / f"{i}.csv" for i, launch in enumerate(args)}
-    loaded = scipy_loaded_after(*([*a, "--out", str(out[launch])] for launch, a in args.items()))
-    return {None: (loaded[0], None),
-            **{launch: (sorted(set(after) - set(before)), out[launch])
-               for launch, before, after in zip(args, loaded, loaded[1:])}}
+    launches = [*NO_NUMPY_LAUNCHES, ("fig6", "both", "full"),
+                *(launch for launch in NO_SCIPY_LAUNCHES if launch not in NO_NUMPY_LAUNCHES)]
+    out = {launch: tmp / f"{i}.csv" for i, launch in enumerate(launches)}
+    loaded = modules_loaded_after(*(
+        ["--preset", launch[0], "--engine", launch[1], "--seed", "1",
+         "--config", str(tmp / f"{launch[2]}.cfg"), "--out", str(out[launch])]
+        for launch in launches))
+    return {None: (of_package(loaded[0], "scipy"), of_package(loaded[0], "numpy"), None),
+            **{launch: (sorted(set(of_package(after, "scipy")) - set(before)),
+                        of_package(after, "numpy"), out[launch])
+               for launch, before, after in zip(launches, loaded, loaded[1:])}}
 
 
-def test_cli_import_loads_no_scipy(no_scipy_sweeps):
+def test_cli_import_loads_no_scipy(launch_modules):
     # scipy.special is imported where a special function is evaluated, so a
     # launch that needs none does not pay for it
-    assert no_scipy_sweeps[None][0] == []
+    assert launch_modules[None][0] == []
+
+
+def test_analytic_launches_load_no_numpy(launch_modules):
+    # the FULL and closed-form analytics are scalar stdlib arithmetic, and
+    # numpy is imported where arrays are built: by the INTRA kernel, the
+    # simulator and the battery DES, which the later launches run
+    for launch in [None, *NO_NUMPY_LAUNCHES]:
+        assert launch_modules[launch][1] == [], launch
+    assert "numpy" in launch_modules[("fig6", "both", "full")][1]
 
 
 # public names that only the tests call, each with its reason
@@ -224,12 +245,13 @@ def test_benchmark_tracer_reads_what_the_program_returns():
     assert (metrics["simulation.redraws"], metrics["simulation.accept_ratio"]) == (0, 1.0)
 
 
-def test_closed_form_presets_load_no_scipy(no_scipy_sweeps):
+def test_closed_form_presets_load_no_scipy(launch_modules):
     # the availability presets need no quadrature and no log-gamma, analytic
     # or simulated, so their launches skip the scipy import
-    for preset in ("fig5", "fig6"):
-        added, out = no_scipy_sweeps[preset]
-        assert added == [], preset
+    for launch in (("fig5", "analytic", "full"), ("fig6", "analytic", "full"),
+                   ("fig6", "both", "full")):
+        added, _numpy, out = launch_modules[launch]
+        assert added == [], launch
         assert out.stat().st_size > 0
 
 
@@ -239,8 +261,8 @@ def test_rach_presets_load_no_scipy_integrate(tmp_path):
     # for its incomplete-beta kernel
     general = tmp_path / "alpha3.cfg"
     general.write_text("mode = intra\nalpha = 3\n", encoding="utf-8")
-    analytic = scipy_loaded_after(["--preset", "fig10", "--config", str(general),
-                                   "--out", str(tmp_path / "alpha3.csv")])[-1]
+    analytic = modules_loaded_after(["--preset", "fig10", "--config", str(general),
+                                     "--out", str(tmp_path / "alpha3.csv")])[-1]
     assert "scipy.special" in analytic
     assert [m for m in analytic if m.startswith(
         ("scipy.integrate", "scipy.optimize", "scipy.sparse"))] == []
@@ -249,11 +271,11 @@ def test_rach_presets_load_no_scipy_integrate(tmp_path):
 @pytest.mark.parametrize("launch", [
     pytest.param(launch, id="-".join(launch[:2] if launch[2] == "full" else launch))
     for launch in NO_SCIPY_LAUNCHES])
-def test_full_rach_launches_load_no_scipy(no_scipy_sweeps, launch):
+def test_full_rach_launches_load_no_scipy(launch_modules, launch):
     # the cell-load law takes math.lgamma, the FULL kernel is a transcribed
     # quadrature and the INTRA kernel at the presets' alpha = 4 the arcsine
     # law, so neither an analytic launch nor a simulated one, which sizes its
     # interferer window with the FULL kernel, needs scipy
-    added, out = no_scipy_sweeps[launch]
+    added, _numpy, out = launch_modules[launch]
     assert added == []
     assert out.stat().st_size > 0

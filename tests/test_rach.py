@@ -481,6 +481,9 @@ def test_cell_load_pmf_matches_gammaln_form(monkeypatch):
         assert got.dtype == np.float64
         bound = want * (1e-14 + 2.0 * eps * scale) + 2.0 ** -1074
         assert np.all(np.abs(got - want) <= bound), (lambda_da, lambda_b)
+        # an int, a range and an array take the one scalar formula, term for term
+        assert [cell_load_pmf(k, lambda_da, lambda_b) for k in n.tolist()] == got.tolist()
+        assert cell_load_pmf(range(n.size), lambda_da, lambda_b) == got.tolist()
     scalar = cell_load_pmf(3, 0.1, 0.1)
     assert type(scalar) is float
     assert scalar == pytest.approx(float(gammaln_pmf(np.asarray(3), 0.1, 0.1)[0]), rel=1e-14)

@@ -348,14 +348,17 @@ def test_horizon_near_alpha_two_is_numeric_error():
         interference_horizon(ChannelConfig(alpha=2.005), 1, 5e-4)
 
 
-@pytest.mark.parametrize("alpha", [2.005, 2.05])
-def test_summary_near_alpha_two_refused_before_any_draw(monkeypatch, alpha):
-    # at 2.05 the horizon is finite but holds ~1e142 expected interferers,
-    # beyond numpy's Poisson range
+# a case with n_t = 1 leaves n_t out of its id, as before other n_t were added
+@pytest.mark.parametrize("alpha, n_t", [
+    pytest.param(alpha, n_t, id=f"{alpha}" if n_t == 1 else f"{alpha}-{n_t}")
+    for alpha, n_t in [(2.005, 1), (2.05, 1), (2.8, 1), (3.0, 8)]])
+def test_summary_near_alpha_two_refused_before_any_draw(monkeypatch, alpha, n_t):
+    # at 2.05 the horizon is finite but holds ~1e142 expected interferers; at
+    # 2.8 and 3.0 an attempt's expected arrays would fill 676 and 115 chunks
     def no_draw(*args):
         raise AssertionError("drew before refusing")
 
     monkeypatch.setattr(simulation, "_draw_field", no_draw)
-    with pytest.raises(NumericError, match=f"alpha = {alpha}, n_t = 1"):
-        simulate_summary(ChannelConfig(alpha=alpha), 1,
+    with pytest.raises(NumericError, match=f"alpha = {alpha}, n_t = {n_t}"):
+        simulate_summary(ChannelConfig(alpha=alpha), n_t,
                          settings=SimSettings(replications=5, seed=1))
