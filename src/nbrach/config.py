@@ -81,7 +81,6 @@ KEYS: dict[str, tuple[object, str | None, str]] = {
     "rel_tol": ("plain", "quadrature", "rel_tol"),
     "abs_tol": ("plain", "quadrature", "abs_tol"),
     "max_subdivisions": ("int", "quadrature", "max_subdivisions"),
-    "pmf_tail_mass": ("plain", "quadrature", "pmf_tail_mass"),  # cell-load tail mass
     "sweep_key": ("str", "app", "sweep_key"),           # custom sweep parameter
     "sweep_values": ("list", "app", "sweep_values"),    # custom sweep values
     "target": ({t: t for t in ("availability", "preamble", "rach", "efficiency")},

@@ -23,18 +23,17 @@ from .errors import QuadratureError, integer, real
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Accuracy knobs for every integral evaluated by the analytics."""
+    """Accuracy knobs for every integral evaluated by the analytics.  The
+    cell-load sum is no integral: its tail mass is rach.CELL_LOAD_TAIL_MASS."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_subdivisions: int = 200
-    pmf_tail_mass: float = 1e-8
 
     def __post_init__(self):
         real(self.rel_tol, "rel_tol", gt=0.0)
         real(self.abs_tol, "abs_tol", gt=0.0)
         integer(self.max_subdivisions, "max_subdivisions", ge=10)
-        real(self.pmf_tail_mass, "pmf_tail_mass", gt=0.0, lt=1e-2)
 
 
 def improper_integral(func, settings: QuadratureSettings | None = None) -> tuple[float, float]:

@@ -11,7 +11,9 @@ field of interferers on the same preamble, and the load of the serving
 cell.  Each distinct joint success is one quadrature over the serving
 distance per process (memoised: repetition counts and series share them),
 with one interference exponent for both modes (the unbounded kernel adds one
-memoised quadrature; the cell-truncated one is closed-form), plus a cell-load sum.
+memoised quadrature; the cell-truncated one is closed-form), plus a cell-load sum:
+one scalar term per count, added in one running loop until the mass left out
+is at most CELL_LOAD_TAIL_MASS.
 All of it is scalar stdlib arithmetic except the cell-truncated kernel, which
 imports numpy on use, and at alpha != 4 scipy (`scipy.special`) too; at
 alpha = 4 its incomplete beta is the arcsine law.
@@ -22,7 +24,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 from .errors import ConfigError, NumericError, integer, real
@@ -39,8 +40,9 @@ SYMBOL_GROUPS_PER_REPETITION = 4
 # float64 precision; reject instead of returning noise.
 MAX_ANALYTIC_REPETITIONS = 32
 
-# Largest cell-load truncation point n*, whatever the tail mass.
-CELL_LOAD_CAP = 10_000
+# Cell-load mass left out of the no-collision average, and the largest
+# truncation point n*, whatever the tail mass.
+CELL_LOAD_TAIL_MASS, CELL_LOAD_CAP = 1e-8, 10_000
 
 # Memo bounds; the largest preset launch needs 96 joint successes, 32 kernels.
 _JOINT_MEMO_SIZE, _KERNEL_MEMO_SIZE = 4096, 256
@@ -280,39 +282,24 @@ def preamble_success_prob(n_t: int, cfg: ChannelConfig,
     return _probability(total, q, "preamble success")
 
 
-def cell_load_pmf(n, lambda_da: float, lambda_b: float):
-    """Distribution of how many other same-preamble transmitters share the
-    serving cell: negative binomial from the gamma cell-area law, each term
-    evaluated in the log-gamma domain with the stdlib's `math.lgamma` and
-    `math.exp`.  An int n gives a float, a range a list and an integer
-    array an array, term for term the same floats."""
+def cell_load_pmf(n: int, lambda_da: float, lambda_b: float) -> float:
+    """Probability that n other same-preamble transmitters share the serving
+    cell: negative binomial from the gamma cell-area law, evaluated in the
+    log-gamma domain with the stdlib's `math.lgamma` and `math.exp`."""
+    n = integer(n, "n", ge=0)
     real(lambda_b, "lambda_b", gt=0.0)
     real(lambda_da, "lambda_da", ge=0.0)
+    if lambda_da == 0.0:
+        return 1.0 if n == 0 else 0.0
+    rho = real(lambda_da / lambda_b, "lambda_da/lambda_b", gt=0.0)  # can overflow or underflow
     c = VORONOI_SHAPE
-    rho = lambda_da / lambda_b
-
-    def term(k: int) -> float:
-        k = integer(k, "n", ge=0)
-        if lambda_da == 0.0:
-            return 1.0 if k == 0 else 0.0
-        return math.exp((c + 1.0) * math.log(c) + math.lgamma(k + c + 1.0) - math.lgamma(c + 1.0)
-                        - math.lgamma(k + 1.0) + k * math.log(rho)
-                        - (k + c + 1.0) * math.log(rho + c))
-
-    if isinstance(n, range):
-        return [term(k) for k in n]
-    try:
-        k = operator.index(n)
-    except TypeError:  # an array
-        import numpy as np
-        n_arr = np.asarray(n)
-        if not np.issubdtype(n_arr.dtype, np.integer):
-            raise ConfigError("n must be integer valued") from None
-        return np.array([term(k) for k in n_arr.ravel().tolist()]).reshape(n_arr.shape)
-    return term(k)
+    return math.exp((c + 1.0) * math.log(c) + math.lgamma(n + c + 1.0) - math.lgamma(c + 1.0)
+                    - math.lgamma(n + 1.0) + n * math.log(rho)
+                    - (n + c + 1.0) * math.log(rho + c))
 
 
-def cell_load_truncation(lambda_da: float, lambda_b: float, tail_mass: float = 1e-8) -> int:
+def cell_load_truncation(lambda_da: float, lambda_b: float,
+                         tail_mass: float = CELL_LOAD_TAIL_MASS) -> int:
     """Smallest n* whose cumulative cell-load mass reaches 1 - tail_mass,
     capped at CELL_LOAD_CAP."""
     return len(_cell_load_head(lambda_da, lambda_b, tail_mass)) - 1
@@ -321,19 +308,13 @@ def cell_load_truncation(lambda_da: float, lambda_b: float, tail_mass: float = 1
 def _cell_load_head(lambda_da: float, lambda_b: float, tail_mass: float) -> list[float]:
     """The cell-load masses of 0..n* (see cell_load_truncation)."""
     real(tail_mass, "tail_mass", gt=0.0, lt=1.0)
-    target = 1.0 - tail_mass
     total = 0.0
     masses = []
-    start = 0
-    while start <= CELL_LOAD_CAP:
-        # blocks of 32, 32, 64, 128, then 256: while n* < 32 that costs 32 terms
-        stop = min(start + min(max(start, 32), 256), CELL_LOAD_CAP + 1)
-        for mass in cell_load_pmf(range(start, stop), lambda_da, lambda_b):
-            masses.append(mass)
-            total += mass
-            if total >= target:
-                return masses
-        start = stop
+    for n in range(CELL_LOAD_CAP + 1):
+        masses.append(cell_load_pmf(n, lambda_da, lambda_b))
+        total += masses[-1]
+        if total >= 1.0 - tail_mass:
+            break
     return masses
 
 
@@ -344,12 +325,12 @@ def rach_success_detail(n_t: int, cfg: ChannelConfig,
     and no same-cell contender gets the same preamble through.
 
     Averages the no-collision product over the cell-load law, truncated at
-    the configured tail mass; the truncated tail is counted as failure, so
-    the value is conservative and the detail carries the tail bound.
+    tail mass CELL_LOAD_TAIL_MASS; the truncated tail is counted as failure,
+    so the value is conservative and the detail carries the tail bound.
     """
     q = settings or QuadratureSettings()
     p_s = preamble_success_prob(n_t, cfg, mode, q)
-    masses = _cell_load_head(active_density(cfg), cfg.lambda_b, q.pmf_tail_mass)
+    masses = _cell_load_head(active_density(cfg), cfg.lambda_b, CELL_LOAD_TAIL_MASS)
     log_miss = math.log1p(-p_s) if p_s < 1.0 else -math.inf
     value = p_s * sum(mass * math.exp(k * log_miss) if k else mass
                       for k, mass in enumerate(masses))

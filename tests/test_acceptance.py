@@ -272,7 +272,7 @@ def test_criterion_8_cell_load_mass():
     worst = 0.0
     for rho in (1e-3, 1.0, 1e3):
         n_star = cell_load_truncation(rho, 1.0)
-        mass = float(cell_load_pmf(np.arange(n_star + 1), rho, 1.0).sum())
+        mass = float(np.array([cell_load_pmf(k, rho, 1.0) for k in range(n_star + 1)]).sum())
         worst = max(worst, abs(mass - 1.0))
     secs = time.perf_counter() - t0
     report(8, "cell-load mass under truncation", worst <= 1e-8,

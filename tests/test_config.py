@@ -190,7 +190,7 @@ def test_sim_fields():
 
 @pytest.mark.parametrize("line", ["region_area = 400 km2", "guard = 0.5 km", "redraw_budget = 5",
                                   "bound = success", "standard_repetitions = off",
-                                  "epsilon = 1.1", "l = 64"])
+                                  "epsilon = 1.1", "l = 64", "pmf_tail_mass = 1e-8"])
 def test_removed_keys_are_unknown(line):
     # keys of no setting: a file naming one is refused, not silently ignored
     key = line.split(" =")[0]

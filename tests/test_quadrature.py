@@ -63,8 +63,6 @@ def test_settings_validation():
         QuadratureSettings(abs_tol=-1.0)
     with pytest.raises(ConfigError):
         QuadratureSettings(max_subdivisions=1)
-    with pytest.raises(ConfigError):
-        QuadratureSettings(pmf_tail_mass=0.5)
 
 
 # a phrase of scipy's QUADPACK message for each failure flag (ier)

@@ -358,8 +358,7 @@ def test_cell_load_frozen_point():
 
 def test_cell_load_sums_to_one():
     for rho in (1e-3, 1.0, 50.0):
-        n = np.arange(0, 4000)
-        total = cell_load_pmf(n, rho, 1.0).sum()
+        total = np.array([cell_load_pmf(k, rho, 1.0) for k in range(4000)]).sum()
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -379,20 +378,28 @@ def test_cell_load_empty_field():
     lambda: cell_load_truncation(math.inf, 1.0),
     lambda: pgfl_kernel(1.5, 4),
     lambda: pgfl_kernel(2.0, 4),
+    lambda: cell_load_pmf(0, 1e300, 1e-300),
+    lambda: cell_load_truncation(1e300, 1e-300),
+    lambda: cell_load_pmf(1, 1e-300, 1e300),
 ], ids=["select_epsilon-lambda_b", "cell_load_pmf-lambda_b", "cell_load_pmf-lambda_da",
         "select_epsilon-lambda_da", "select_epsilon-negative", "cell_load_pmf-inf-lambda_b",
         "cell_load_pmf-inf-lambda_da", "cell_load_truncation-inf",
-        "pgfl_kernel-alpha-below-2", "pgfl_kernel-alpha-2"])
+        "pgfl_kernel-alpha-below-2", "pgfl_kernel-alpha-2", "cell_load_pmf-ratio-overflow",
+        "cell_load_truncation-ratio-overflow", "cell_load_pmf-ratio-underflow"])
 def test_sign_checks_reject_nan(call):
     # written `x < 0.0`, a sign check returns 1.0 or NaN for a NaN input; an
-    # unbounded one lets +inf through to a math domain error or NaN masses
+    # unbounded one lets +inf through to a math domain error or NaN masses,
+    # and so does a finite density ratio lambda_da/lambda_b that overflows
+    # (NaN masses, and n* walked to the cap) or underflows (a domain error)
     with pytest.raises(ConfigError, match="must be"):
         call()
 
 
 def test_cell_load_requires_integers():
-    with pytest.raises(ConfigError):
-        cell_load_pmf(np.array([0.5]), 0.1, 0.1)
+    # one count per call: a range or an array of counts is no integer
+    for n in (np.array([0.5]), range(3), np.arange(3), 1.0):
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            cell_load_pmf(n, 0.1, 0.1)
     with pytest.raises(ConfigError):
         cell_load_pmf(-1, 0.1, 0.1)
 
@@ -401,21 +408,21 @@ def test_truncation_rule():
     for rho, frozen in ((1e-3, 2), (1.0, 16), (1e3, 7814)):
         n_star = cell_load_truncation(rho, 1.0)
         assert n_star == frozen
-        mass = cell_load_pmf(np.arange(n_star + 1), rho, 1.0).sum()
-        assert mass >= 1.0 - 1e-8
+        masses = np.array([cell_load_pmf(k, rho, 1.0) for k in range(n_star + 1)])
+        assert masses.sum() >= 1.0 - 1e-8
         if n_star:
-            below = cell_load_pmf(np.arange(n_star), rho, 1.0).sum()
+            below = masses[:-1].sum()
             assert below < 1.0 - 1e-8
     assert cell_load_truncation(0.0, 1.0) == 0
 
 
 def test_truncation_first_block_is_one_cumsum():
-    # the first 256 terms are evaluated 32, 32, 64 and 128 at a time with the
-    # running sum carried, so each cumulative value is that of one 256-term
-    # cumsum: a target set to any of them (1 - (1 - c) is exact for c in
-    # [1/2, 1)) is first reached at its own index
+    # the masses are added to one running sum in index order, so each
+    # cumulative value is that of one 256-term cumsum: a target set to any of
+    # them (1 - (1 - c) is exact for c in [1/2, 1)) is first reached at its
+    # own index
     for rho in np.logspace(0.0, np.log10(30.0), 12):
-        cum = np.cumsum(cell_load_pmf(np.arange(256), rho, 1.0))
+        cum = np.cumsum([cell_load_pmf(k, rho, 1.0) for k in range(256)])
         rises = np.diff(cum, prepend=0.0) > 0.0
         for k in np.nonzero((cum >= 0.5) & (cum < 1.0) & rises)[0]:
             assert cell_load_truncation(rho, 1.0, 1.0 - cum[k]) == k, (rho, k)
@@ -476,14 +483,11 @@ def test_cell_load_pmf_matches_gammaln_form(monkeypatch):
     n = np.arange(rach.CELL_LOAD_CAP + 1)
     eps = np.finfo(float).eps
     for lambda_da, lambda_b in sorted(points):
-        got = cell_load_pmf(n, lambda_da, lambda_b)
+        got = np.array([cell_load_pmf(k, lambda_da, lambda_b) for k in range(n.size)])
         want, scale = gammaln_pmf(n, lambda_da, lambda_b)
         assert got.dtype == np.float64
         bound = want * (1e-14 + 2.0 * eps * scale) + 2.0 ** -1074
         assert np.all(np.abs(got - want) <= bound), (lambda_da, lambda_b)
-        # an int, a range and an array take the one scalar formula, term for term
-        assert [cell_load_pmf(k, lambda_da, lambda_b) for k in n.tolist()] == got.tolist()
-        assert cell_load_pmf(range(n.size), lambda_da, lambda_b) == got.tolist()
     scalar = cell_load_pmf(3, 0.1, 0.1)
     assert type(scalar) is float
     assert scalar == pytest.approx(float(gammaln_pmf(np.asarray(3), 0.1, 0.1)[0]), rel=1e-14)
@@ -501,7 +505,7 @@ def test_rach_detail_consistency():
     # factored collision average recomputed directly from the pieces
     n = np.arange(d.terms)
     direct = d.preamble_success * float(
-        (cell_load_pmf(n, active_density(DESK), 1.0)
+        (np.array([cell_load_pmf(k, active_density(DESK), 1.0) for k in range(d.terms)])
          * (1.0 - d.preamble_success) ** n).sum())
     assert d.value == pytest.approx(direct, rel=1e-12)
 
@@ -593,13 +597,13 @@ def test_fig13_integrates_each_joint_and_kernel_once(monkeypatch, mode, quadratu
     # fig13 walks n_t = 1..32 at three points: 96 distinct joint successes
     # and, in FULL mode, one kernel per l = 4..128 shared by all three
     # (re-integrated per row and series, that was 378 and 189); each
-    # rach_success_detail evaluates the cell-load law once
+    # rach_success_detail evaluates each cell-load term once, none past n*
     calls, details, pmfs = [], [], []
 
     def counting(log, func):
         def wrapper(*args):
-            log.append(args)
-            return func(*args)
+            log.append(func(*args))
+            return log[-1]
         return wrapper
 
     monkeypatch.setattr(rach, "improper_integral", counting(calls, improper_integral))
@@ -607,7 +611,8 @@ def test_fig13_integrates_each_joint_and_kernel_once(monkeypatch, mode, quadratu
     monkeypatch.setattr(rach, "cell_load_pmf", counting(pmfs, cell_load_pmf))
     run_preset("fig13", replace(build_config({}), mode=mode), Engine.ANALYTIC)
     assert len(calls) == quadratures
-    assert len(details) == len(pmfs) == 18
+    assert len(details) == 18
+    assert len(pmfs) == sum(d.terms for d in details)
 
 
 RACH_PRESETS = ("fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13")

@@ -296,9 +296,19 @@ def test_cli_config_error_exit(tmp_path, capsys):
     assert "alpha" in err
 
 
+def test_cli_density_ratio_overflow_is_config_error(tmp_path, capsys):
+    # each density is valid alone, but lambda_da/lambda_b overflows to inf:
+    # refused with an error marker row, not written out as nan cells
+    cfg = write_cfg(tmp_path, "lambda_b = 1e-300\nlambda_d = 1e20\n")
+    out = str(tmp_path / "part.csv")
+    assert main(["sweep", "--config", cfg, "--preset", "fig8", "--out", out]) == EXIT_CONFIG
+    assert "lambda_da/lambda_b must be a finite number" in capsys.readouterr().err
+    assert parse_csv(out).rows == ((0.005, "error", "error"),)
+
+
 @pytest.mark.parametrize("line", ["region_area = 400 km2", "guard = 0.5 km", "redraw_budget = 5",
                                   "bound = success", "standard_repetitions = off",
-                                  "epsilon = 1.1", "l = 64"])
+                                  "epsilon = 1.1", "l = 64", "pmf_tail_mass = 1e-8"])
 def test_cli_validate_refuses_removed_keys(tmp_path, capsys, line):
     # keys of no setting exit as any other unknown key does
     cfg = write_cfg(tmp_path, f"lambda_b = 1\n{line}\n")
